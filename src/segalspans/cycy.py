@@ -22,11 +22,14 @@ from .finset import (
     Span,
     big_product,
     compose_spans,
+    constant_map,
     fin_map_by,
     identity_span,
+    product_carrier,
     product_set,
     pullback,
     reverse_span,
+    slotwise_map,
     spans_isomorphic,
     tensor_spans,
     terminal_map,
@@ -587,8 +590,9 @@ class LambdaStarFunctor:
             if r > self.x.top_rank:
                 raise ValueError("insufficient truncation")
         if obj not in self._values:
-            prod, _ = big_product([self.x.level(r) for _, r in obj.slots])
-            self._values[obj] = prod
+            self._values[obj] = product_carrier(
+                [self.x.level(r) for _, r in obj.slots]
+            )
         return self._values[obj]
 
     def _block_inclusion(self, mor, t):
@@ -623,14 +627,10 @@ class LambdaStarFunctor:
                         apply_delta_op(self.x, piece).as_dict(),
                     )
                 )
-            return fin_map_by(
-                src_v,
-                dst_v,
-                lambda tup: tuple(d[tup[p]] for p, d in slot_maps),
-            )
+            return slotwise_map(src_v, dst_v, slot_maps)
         if isinstance(mor, CycToFamilyMor):
             if len(mor.dst) == 0:
-                return fin_map_by(src_v, dst_v, lambda e: ())
+                return constant_map(src_v, dst_v, ())
             union = mor.op.src
             comps = []
             for i in mor.dst.index:
@@ -644,10 +644,6 @@ class LambdaStarFunctor:
             values = zip(*(m.assignment for m in comps))
             return FinMap(src_v, dst_v, tuple(values))
         raise ValueError("not a family / cyclic-rank morphism")
-
-
-def build_lambda_star_functor(x):
-    return LambdaStarFunctor(x)
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections import Counter
+from operator import itemgetter
 
 from .labels import check_label, label_key
 
@@ -75,9 +76,9 @@ class FinMap:
         if len(self.assignment) != len(self.src):
             raise ValueError("assignment length mismatch")
         dstset = self.dst._positions()
-        for y in self.assignment:
-            if y not in dstset:
-                raise ValueError(f"image {y!r} not in codomain")
+        if not all(map(dstset.__contains__, self.assignment)):
+            bad = next(y for y in self.assignment if y not in dstset)
+            raise ValueError(f"image {bad!r} not in codomain")
 
     def _lookup(self):
         d = self.__dict__.get("_map")
@@ -99,7 +100,8 @@ class FinMap:
         """self after other."""
         if other.dst != self.src:
             raise ValueError("composition mismatch")
-        return FinMap(other.src, self.dst, tuple(self(y) for y in other.assignment))
+        images = map(self._lookup().__getitem__, other.assignment)
+        return FinMap(other.src, self.dst, tuple(images))
 
     def fiber(self, y):
         return tuple(x for x, v in zip(self.src.elements, self.assignment) if v == y)
@@ -123,19 +125,42 @@ def fin_map_by(src, dst, fn):
 
 
 def constant_map(src, dst, y):
-    return FinMap(src, dst, tuple(y for _ in src.elements))
+    return FinMap(src, dst, (y,) * len(src))
 
 
 def terminal_map(src):
     return constant_map(src, terminal_set(), ())
 
 
+def product_carrier(sets):
+    """The n-ary product of finite sets with tuple labels, no projections."""
+    return _presorted_finset(itertools.product(*(s.elements for s in sets)))
+
+
+def _projection(p, i, s):
+    """The map sending each tuple of p to its i-th entry, in s."""
+    return FinMap(p, s, tuple(map(itemgetter(i), p.elements)))
+
+
+def slotwise_map(src, dst, slot_maps):
+    """The map sending a tuple t of src to (m[t[i]] for i, m in slot_maps).
+
+    Each m is a mapping defined on the entries of slot i.  The image
+    tuples are zipped from one gathered column per slot, so with dicts no
+    Python code runs per element; with no slots every element goes to ().
+    """
+    if not slot_maps:
+        return constant_map(src, dst, ())
+    columns = [
+        map(m.__getitem__, map(itemgetter(i), src.elements)) for i, m in slot_maps
+    ]
+    return FinMap(src, dst, tuple(zip(*columns)))
+
+
 def product_set(a, b):
     """Binary product with pair labels; returns (object, proj1, proj2)."""
-    p = _presorted_finset(itertools.product(a.elements, b.elements))
-    p1 = fin_map_by(p, a, lambda xy: xy[0])
-    p2 = fin_map_by(p, b, lambda xy: xy[1])
-    return p, p1, p2
+    p = product_carrier((a, b))
+    return p, _projection(p, 0, a), _projection(p, 1, b)
 
 
 def product_map(f, g):
@@ -146,11 +171,8 @@ def product_map(f, g):
 
 def big_product(sets):
     """n-ary product with tuple labels; returns (object, projections)."""
-    p = _presorted_finset(itertools.product(*(s.elements for s in sets)))
-    projs = tuple(
-        fin_map_by(p, s, lambda t, i=i: t[i]) for i, s in enumerate(sets)
-    )
-    return p, projs
+    p = product_carrier(sets)
+    return p, tuple(_projection(p, i, s) for i, s in enumerate(sets))
 
 
 def pullback(f, g):
@@ -170,9 +192,7 @@ def pullback(f, g):
         for b in buckets.get(v, ())
     )
     p = _presorted_finset(pairs)
-    p1 = fin_map_by(p, f.src, lambda ab: ab[0])
-    p2 = fin_map_by(p, g.src, lambda ab: ab[1])
-    return p, p1, p2
+    return p, _projection(p, 0, f.src), _projection(p, 1, g.src)
 
 
 @dataclass(frozen=True)
@@ -247,10 +267,7 @@ def limit(diagram):
         placed.add(name)
     elems = tuple(tuple(asg[n] for n in names) for asg in partials)
     obj = FinSet(elems)
-    projs = {
-        n: fin_map_by(obj, byname[n], lambda t, i=i: t[i])
-        for i, n in enumerate(names)
-    }
+    projs = {n: _projection(obj, i, byname[n]) for i, n in enumerate(names)}
     return obj, projs
 
 
@@ -337,8 +354,8 @@ def tensor_spans(s, t):
     lo, _, _ = product_set(s.left_obj, t.left_obj)
     ro, _, _ = product_set(s.right_obj, t.right_obj)
     ap, a1, a2 = product_set(s.apex, t.apex)
-    ll = fin_map_by(ap, lo, lambda xy: (s.left_leg(xy[0]), t.left_leg(xy[1])))
-    rl = fin_map_by(ap, ro, lambda xy: (s.right_leg(xy[0]), t.right_leg(xy[1])))
+    ll = slotwise_map(ap, lo, ((0, s.left_leg._lookup()), (1, t.left_leg._lookup())))
+    rl = slotwise_map(ap, ro, ((0, s.right_leg._lookup()), (1, t.right_leg._lookup())))
     return Span(lo, ro, ap, ll, rl)
 
 

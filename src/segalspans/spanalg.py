@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 from .finset import (
     Span,
-    big_product,
     compose_spans,
     fin_map_by,
     identity_span,
+    product_carrier,
     product_set,
     pullback,
+    slotwise_map,
     span_from_maps,
     spans_isomorphic,
     tensor_spans,
@@ -215,8 +216,7 @@ class StarFunctor:
     def value(self, obj):
         if max(obj.ranks) > self.x.top_rank:
             raise ValueError("insufficient truncation")
-        prod, _ = big_product([self.x.level(r) for r in obj.ranks])
-        return prod
+        return product_carrier([self.x.level(r) for r in obj.ranks])
 
     def action(self, mor):
         src_v = self.value(mor.src)
@@ -236,17 +236,9 @@ class StarFunctor:
                 lambda v, off=off: v + off,
             )
             slot_maps.append(
-                (i, apply_delta_op(self.x, glued.compose(block)))
+                (i, apply_delta_op(self.x, glued.compose(block)).as_dict())
             )
-        return fin_map_by(
-            src_v,
-            dst_v,
-            lambda tup: tuple(m(tup[i]) for i, m in slot_maps),
-        )
-
-
-def build_star_functor(x):
-    return StarFunctor(x)
+        return slotwise_map(src_v, dst_v, slot_maps)
 
 
 def _judge_bijection_pairs(rep, check, location, src_set, values, target_set):
@@ -276,7 +268,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
     decompositions of length three are re-checked as redundancy.
     """
     rep = report if report is not None else Report("algebra-conditions")
-    f = build_star_functor(x)
+    f = StarFunctor(x)
     top = x.top_rank
     if top < 3:
         raise ValueError("truncation too low for algebra conditions")
@@ -318,7 +310,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
         values = [
             tuple(p(e) for p in projs) for e in f.value(obj).elements
         ]
-        expect, _ = big_product([f.value(DeltaStarObj((r,))) for r in ranks])
+        expect = product_carrier([f.value(DeltaStarObj((r,))) for r in ranks])
         _judge_bijection_pairs(
             rep, "product-cone", ranks, f.value(obj), values, expect
         )

@@ -40,7 +40,7 @@ from segalspans.generators import (
     groups_up_to_order,
 )
 from segalspans.orders import CycOrd, CycMap, standard_cycle
-from segalspans.sobj import CycObj, SimpObj
+from segalspans.sobj import CycObj, SimpObj, apply_delta_op
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +280,17 @@ def test_long_and_unit_edge_actions(z2_fn):
     assert s(((1, 0, 1),)) == ((0, 0), (1, 1))
 
 
+def _family_action_per_element(fn, mor):
+    """Reference action of a family morphism, one source tuple at a time."""
+    slot_maps = []
+    for t in mor.dst.index:
+        i, piece = fn._block_inclusion(mor, t)
+        slot_maps.append((mor.src.slot_position(i), apply_delta_op(fn.x, piece)))
+    return tuple(
+        tuple(m(tup[p]) for p, m in slot_maps) for tup in fn.value(mor.src)
+    )
+
+
 def test_functor_respects_composition(z2_fn):
     """Actions of composites equal composites of actions."""
     fa = FamilyObj(((0, 1),))
@@ -290,6 +301,9 @@ def test_functor_respects_composition(z2_fn):
             af = z2_fn.action(f)
             assert af.src == z2_fn.value(a)
             assert af.dst == z2_fn.value(b)
+            # fa -> fb reads the one source slot twice; -> () has no slots
+            if isinstance(f, FamilyMor):
+                assert af.assignment == _family_action_per_element(z2_fn, f)
             for c in objs:
                 for g in all_lambda_star_mors(b, c):
                     lhs = z2_fn.action(lambda_star_compose(g, f))

@@ -15,9 +15,11 @@ from segalspans.finset import (
     identity_span,
     is_equivalence_span,
     limit,
+    product_carrier,
     product_set,
     pullback,
     reverse_span,
+    slotwise_map,
     span_from_maps,
     spans_isomorphic,
     tensor_spans,
@@ -44,6 +46,9 @@ def test_finmap_validation_and_compose():
         FinMap(a, b, (0, 7))
     with pytest.raises(ValueError):
         FinMap(a, b, (0,))
+    # the first bad image, in source order, is the one named
+    with pytest.raises(ValueError, match="image 7 not in codomain"):
+        FinMap(b, b, (7, 0, 9))
 
 
 def test_finmap_inverse_and_fibers():
@@ -66,6 +71,13 @@ def test_pullback_elements_and_projections():
     assert p.elements == ((0, "u"), (1, "v"), (2, "u"), (3, "v"))
     for ab in p:
         assert f(p1(ab)) == g(p2(ab))
+    for q, q1, q2, src1, src2 in (
+        (p, p1, p2, a, b),
+        pullback(FinMap(FinSet(()), c, ()), g) + (FinSet(()), b),
+    ):
+        assert (q1.src, q1.dst, q2.src, q2.dst) == (q, src1, q, src2)
+        assert q1.assignment == tuple(x for x, _ in q.elements)
+        assert q2.assignment == tuple(y for _, y in q.elements)
 
 
 def _cones_satisfying(f, g, size):
@@ -97,6 +109,29 @@ def test_pullback_universal_property_small():
                 and p2.compose(u).assignment == h2.assignment
             ]
             assert len(factorings) == 1
+
+
+def test_big_product_projections_and_slotwise_maps():
+    a = FinSet((0, 1))
+    b = FinSet(("x", "y", "z"))
+    for sets in ([a, b], [b, a, b], [a, FinSet(()), b], [a], []):
+        p, projs = big_product(sets)
+        assert p == product_carrier(sets)
+        assert len(p) == len(list(itertools.product(*sets)))
+        assert len(projs) == len(sets)
+        for i, (s, proj) in enumerate(zip(sets, projs)):
+            assert (proj.src, proj.dst) == (p, s)
+            assert proj.assignment == tuple(t[i] for t in p.elements)
+        # slot maps in order, reversed and read twice, and no slots at all
+        tagged = tuple(
+            (i, {x: (i, x) for x in s.elements}) for i, s in enumerate(sets)
+        )
+        for slots in ((), tagged, tagged[::-1] * 2):
+            dst = product_carrier([FinSet(tuple(m.values())) for _, m in slots])
+            got = slotwise_map(p, dst, slots)
+            assert got.assignment == tuple(
+                tuple(m[t[i]] for i, m in slots) for t in p.elements
+            )
 
 
 def test_limit_empty_diagram_is_terminal():

@@ -9,14 +9,15 @@ from segalspans.generators import (
     min_monoid_table,
     nerve_of_monoid,
 )
+from segalspans.orders import LinMap, standard_order
 from segalspans.segal import check_1segal, check_2segal
+from segalspans.sobj import apply_delta_op
 from segalspans.spanalg import (
     DeltaStarMor,
     DeltaStarObj,
     StarFunctor,
     all_delta_star_mors,
     assembly_mor,
-    build_star_functor,
     check_algebra_conditions,
     check_associativity,
     identity_star,
@@ -114,16 +115,38 @@ def test_composition_associative_exhaustive_small():
 
 
 def test_functor_value_sizes():
-    f = build_star_functor(nerve_of_monoid(Z2, 3))
+    f = StarFunctor(nerve_of_monoid(Z2, 3))
     assert len(f.value(DeltaStarObj((2, 1, 2)))) == 32
     assert len(f.value(DeltaStarObj((3,)))) == 8
     with pytest.raises(ValueError):
         f.value(DeltaStarObj((4,)))
 
 
+def _star_action_per_element(f, mor):
+    """Reference action of a tuple morphism, one source tuple at a time.
+
+    Target slot t reads source slot i = phi[t] through the gluing map of
+    slot i restricted to the block of t.
+    """
+    slot_maps = []
+    for t, i in enumerate(mor.phi):
+        off, rank = mor.block_offset(t), mor.dst.ranks[t]
+        piece = LinMap(
+            standard_order(rank),
+            standard_order(mor.src.ranks[i]),
+            mor.comp(i)[off : off + rank + 1],
+        )
+        slot_maps.append((i, apply_delta_op(f.x, piece)))
+    return tuple(
+        tuple(m(tup[i]) for i, m in slot_maps) for tup in f.value(mor.src)
+    )
+
+
 def test_functor_respects_composition_exhaustive():
-    f = build_star_functor(nerve_of_monoid(Z2, 3))
+    f = StarFunctor(nerve_of_monoid(Z2, 3))
     for a, b in itertools.product(_UNIVERSE, repeat=2):
+        for mu in all_delta_star_mors(a, b):
+            assert f.action(mu).assignment == _star_action_per_element(f, mu)
         for c in _UNIVERSE:
             for mu in all_delta_star_mors(a, b):
                 for nu in all_delta_star_mors(b, c):
@@ -133,7 +156,7 @@ def test_functor_respects_composition_exhaustive():
 
 
 def test_functor_identity_action():
-    f = build_star_functor(nerve_of_monoid(Z2, 3))
+    f = StarFunctor(nerve_of_monoid(Z2, 3))
     obj = DeltaStarObj((2, 1))
     act = f.action(identity_star(obj))
     assert act.assignment == f.value(obj).elements
@@ -141,7 +164,7 @@ def test_functor_identity_action():
 
 def test_single_interval_action_is_structure_map():
     x = nerve_of_monoid(Z2, 3)
-    f = build_star_functor(x)
+    f = StarFunctor(x)
     mor = single_interval_mor(2, 1, (0, 2))
     act = f.action(mor)
     # the long edge of a 2-simplex is its inner face
