@@ -963,12 +963,6 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
 # the trace pairing
 
 
-@dataclass(frozen=True)
-class TracePairing:
-    gamma: Span
-    eta_candidate: Span
-
-
 def trace_span(x):
     """X1 <- X0 -> 1: evaluate on degenerate edges, then discard."""
     return Span(
@@ -983,11 +977,6 @@ def trace_span(x):
 def pairing_span(x):
     """The composite of multiplication with the trace."""
     return compose_spans(multiplication_span(x), trace_span(x))
-
-
-def build_trace_pairing(x):
-    gamma = pairing_span(x)
-    return TracePairing(gamma, reverse_span(gamma))
 
 
 def _unitor_spans(x1):

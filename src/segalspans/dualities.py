@@ -111,10 +111,6 @@ def I_on_map(g):
     return LinMap(gt, gs, tuple(gs.elements[j] for j in dual))
 
 
-outer_dual_map = O_on_map
-inner_dual_map = I_on_map
-
-
 # --------------------------------------------------------------------------
 # closures into cyclic orders
 
@@ -208,9 +204,6 @@ def D_on_map(f, start=None):
     w_t = closure_square_witness(lt)
     w_s = closure_square_witness(ls)
     return w_s.compose(cg.compose(w_t.inverse()))
-
-
-cyclic_dual_map = D_on_map
 
 
 def double_dual_witness(base):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections import Counter
-from operator import itemgetter
+from operator import add, eq, itemgetter
 
 from .labels import check_label, label_key
 
@@ -157,16 +157,23 @@ def slotwise_map(src, dst, slot_maps):
     return FinMap(src, dst, tuple(zip(*columns)))
 
 
+def tupled_values(src, maps):
+    """The rows tuple(m(x) for m in maps), one per x in src, as a list.
+
+    Every map must start at src, so its assignment is a column indexed
+    like src.elements and the rows are zipped from the columns.
+    """
+    if any(m.src != src for m in maps):
+        raise AssertionError("tupled maps must start at the given set")
+    if not maps:
+        return [()] * len(src)
+    return list(zip(*(m.assignment for m in maps)))
+
+
 def product_set(a, b):
     """Binary product with pair labels; returns (object, proj1, proj2)."""
     p = product_carrier((a, b))
     return p, _projection(p, 0, a), _projection(p, 1, b)
-
-
-def product_map(f, g):
-    pa, _, _ = product_set(f.src, g.src)
-    pb, _, _ = product_set(f.dst, g.dst)
-    return fin_map_by(pa, pb, lambda xy: (f(xy[0]), g(xy[1])))
 
 
 def big_product(sets):
@@ -236,37 +243,64 @@ def limit(diagram):
     """
     byname = dict(diagram.nodes)
     names = sorted(byname, key=label_key)
+    if not names:
+        return terminal_set(), {}
     order = _join_order(names, diagram.arrows)
-    # partial assignments, grown one node at a time; arrows touching
-    # already-placed nodes prune candidates immediately
-    partials = [dict()]
-    placed = set()
+    column = {n: k for k, n in enumerate(order)}
+    # The join runs on element positions.  Each arrow becomes the array
+    # of its image positions and is checked when its later-placed
+    # endpoint joins: "into" arrows come from a placed node and fix the
+    # new value, "out" arrows go to a placed node and bucket candidates.
+    cands = {n: range(len(byname[n])) for n in names}
+    into = {n: [] for n in names}
+    out = {n: [] for n in names}
+    for s, d, m in diagram.arrows:
+        img = tuple(map(m.dst._positions().__getitem__, m.assignment))
+        if s == d:
+            cands[s] = [v for v in cands[s] if img[v] == v]
+        elif column[s] < column[d]:
+            into[d].append((column[s], img))
+        else:
+            out[s].append((column[d], img))
+    rows = [()]  # partial rows of positions, in placement order
     for name in order:
-        cands = byname[name].elements
-        checks = [
-            (s, d, m)
-            for (s, d, m) in diagram.arrows
-            if (s == name and d in placed) or (d == name and s in placed)
-            or (s == name and d == name)
-        ]
-        nxt = []
-        for asg in partials:
-            for v in cands:
-                ok = True
-                for s, d, m in checks:
-                    sv = v if s == name else asg[s]
-                    dv = v if d == name else asg[d]
-                    if m(sv) != dv:
-                        ok = False
-                        break
-                if ok:
-                    ext = dict(asg)
-                    ext[name] = v
-                    nxt.append(ext)
-        partials = nxt
-        placed.add(name)
-    elems = tuple(tuple(asg[n] for n in names) for asg in partials)
-    obj = FinSet(elems)
+        allowed = cands[name]
+        if into[name]:
+            (k, img), rest = into[name][0], into[name][1:]
+            vals = list(map(img.__getitem__, map(itemgetter(k), rows)))
+            tests = [
+                map(eq, map(i.__getitem__, map(itemgetter(j), rows)), vals)
+                for j, i in rest
+            ] + [
+                map(eq, map(o.__getitem__, vals), map(itemgetter(j), rows))
+                for j, o in out[name]
+            ]
+            if len(allowed) < len(byname[name]):
+                tests.append(map(set(allowed).__contains__, vals))
+            if tests:
+                keep = list(map(all, zip(*tests)))
+                rows = itertools.compress(rows, keep)
+                vals = itertools.compress(vals, keep)
+            rows = list(map(add, rows, zip(vals)))
+        elif out[name]:
+            buckets = {}
+            keys = zip(*(map(o.__getitem__, allowed) for _, o in out[name]))
+            for v, key in zip(allowed, keys):
+                buckets.setdefault(key, []).append((v,))
+            row_keys = zip(*(map(itemgetter(j), rows) for j, _ in out[name]))
+            rows = [
+                r + t for r, key in zip(rows, row_keys) for t in buckets.get(key, ())
+            ]
+        else:
+            rows = list(itertools.starmap(add, itertools.product(rows, zip(allowed))))
+    # node sets are canonical, so position order is label order and
+    # sorting the position rows puts the elements in canonical order
+    ranked = sorted(zip(*(map(itemgetter(column[n]), rows) for n in names)))
+    elems = zip(*(
+        map(byname[n].elements.__getitem__, col)
+        for n, col in zip(names, zip(*ranked))
+    ))
+    obj = _presorted_finset(elems)
     projs = {n: _projection(obj, i, byname[n]) for i, n in enumerate(names)}
     return obj, projs
 
@@ -274,23 +308,24 @@ def limit(diagram):
 def _join_order(names, arrows):
     """Order nodes so each new node is linked to placed ones when possible."""
     degree = Counter()
+    neighbours = {n: [] for n in names}
     for s, d, _ in arrows:
         degree[s] += 1
         degree[d] += 1
-    remaining = list(names)
+        if s != d:
+            neighbours[s].append(d)
+            neighbours[d].append(s)
+    key = {n: label_key(n) for n in names}
+    links = Counter()  # arrows between each node and the placed ones
+    remaining = set(names)
     order = []
-    placed = set()
     while remaining:
-        def links(n):
-            return sum(
-                1 for (s, d, _) in arrows
-                if (s == n and d in placed) or (d == n and s in placed)
-            )
         # most constrained first; ties broken by arrow degree, then by name
-        remaining.sort(key=lambda n: (-links(n), -degree[n], label_key(n)))
-        best = remaining.pop(0)
+        best = min(remaining, key=lambda n: (-links[n], -degree[n], key[n]))
+        remaining.remove(best)
         order.append(best)
-        placed.add(best)
+        for n in neighbours[best]:
+            links[n] += 1
     return order
 
 

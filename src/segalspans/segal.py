@@ -8,7 +8,7 @@ of an interval into two blocks) and the polygon-triangulation form
 
 from __future__ import annotations
 
-from .finset import FinDiagram, limit, pullback
+from .finset import FinDiagram, limit, pullback, tupled_values
 from .labels import label_key
 from .orders import lin_map_by, standard_order
 from .report import Report
@@ -111,7 +111,7 @@ def check_2segal(x, report=None):
         edge_n = _edge_map(x, n, j - 1, j)
         edge_m = _edge_map(x, m, 0, m)
         pb, _, _ = pullback(edge_n, edge_m)
-        values = [(to_n(e), to_m(e)) for e in x.level(big).elements]
+        values = tupled_values(x.level(big), (to_n, to_m))
         _judge_comparison(rep, "2segal-square", (n, m, j), x.level(big), values, pb)
     rep.note_scope(f"squares through rank {x.top_rank}")
     return rep
@@ -139,7 +139,7 @@ def check_unital(x, report=None):
                 standard_order(1), standard_order(0), lambda v: 0
             ))
             pb, _, _ = pullback(edge, degen_edge)
-            values = [(s_i(e), vert(e)) for e in x.level(n - 1).elements]
+            values = tupled_values(x.level(n - 1), (s_i, vert))
             _judge_comparison(rep, "unital-square", (n, i), x.level(n - 1), values, pb)
     rep.note_scope(f"degenerate blocks through rank {top}")
     return rep
@@ -166,9 +166,7 @@ def check_1segal(x, report=None):
         names = sorted(dict(nodes), key=label_key)
         value_maps = {("e", i): _edge_map(x, n, i - 1, i) for i in range(1, n + 1)}
         value_maps.update({("v", i): _vertex_map(x, n, i) for i in range(1, n)})
-        values = [
-            tuple(value_maps[nm](e) for nm in names) for e in x.level(n).elements
-        ]
+        values = tupled_values(x.level(n), [value_maps[nm] for nm in names])
         _judge_comparison(rep, "1segal-spine", (n,), x.level(n), values, obj)
     rep.note_scope(f"spines through rank {top}")
     return rep
@@ -259,10 +257,7 @@ def check_2segal_triangulations(x, report=None, max_rank=None):
                         standard_order(n),
                         lambda v, t=(a, b, c): t[v],
                     ))
-            values = [
-                tuple(value_maps[nm](e) for nm in names)
-                for e in x.level(n).elements
-            ]
+            values = tupled_values(x.level(n), [value_maps[nm] for nm in names])
             _judge_comparison(rep, "triangulation", (n, tris), x.level(n), values, obj)
     rep.note_scope(f"triangulations through rank {top}")
     return rep

@@ -271,10 +271,6 @@ def apply_lambda_op(x, f):
     return out
 
 
-def simp_from_tables(sets, faces, degens):
-    return SimpObj(tuple(sets), tuple(tuple(r) for r in faces), tuple(tuple(r) for r in degens))
-
-
 def relabel(x, fn):
     """Transport an object along per-rank injective relabelings.
 

@@ -27,6 +27,7 @@ from .finset import (
     tensor_spans,
     terminal_map,
     terminal_set,
+    tupled_values,
 )
 from .labels import label_key
 from .orders import LinMap, all_lin_maps, lin_map_by, standard_order
@@ -295,24 +296,20 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
         pb, _, _ = pullback(f.action(to_ones), f.action(asm_n))
         a1 = f.action(asm_big)
         a2 = f.action(outer)
-        values = [(a1(e), a2(e)) for e in f.value(DeltaStarObj((big,))).elements]
-        _judge_bijection_pairs(
-            rep, "reduced-square", (n, m, j),
-            f.value(DeltaStarObj((big,))), values, pb,
-        )
+        values = tupled_values(a1.src, (a1, a2))
+        _judge_bijection_pairs(rep, "reduced-square", (n, m, j), a1.src, values, pb)
     rep.note_scope(f"reduced squares through rank {top}")
     # products: the value of a tuple is the product of its slot values
     for ranks in [(1, 1), (1, 2), (2, 1), (2, 1, 2)]:
         if max(ranks) > top:
             continue
         obj = DeltaStarObj(ranks)
+        # every projection starts at its own equal copy of f.value(obj)
         projs = [f.action(projection_mor(obj, i)) for i in range(len(ranks))]
-        values = [
-            tuple(p(e) for p in projs) for e in f.value(obj).elements
-        ]
+        values = tupled_values(projs[0].src, projs)
         expect = product_carrier([f.value(DeltaStarObj((r,))) for r in ranks])
         _judge_bijection_pairs(
-            rep, "product-cone", ranks, f.value(obj), values, expect
+            rep, "product-cone", ranks, projs[0].src, values, expect
         )
     rep.note_scope("product cones on sample tuples")
     if fan_triples is None:
@@ -355,10 +352,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
             "c1": cell1, "c2": cell2, "c3": cell3,
             "d1": edge(big, 0, a), "d2": edge(big, 0, a + b),
         }
-        values = [
-            tuple(value_maps[nm](e) for nm in names)
-            for e in x.level(big).elements
-        ]
+        values = tupled_values(x.level(big), [value_maps[nm] for nm in names])
         _judge_bijection_pairs(
             rep, "fan-limit", (a, b, c), x.level(big), values, obj
         )

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,9 @@ from segalspans.finset import (
     tensor_spans,
     terminal_map,
     terminal_set,
+    tupled_values,
 )
+from segalspans.labels import label_key
 
 
 def test_finset_canonical_order_and_dedup():
@@ -134,6 +137,17 @@ def test_big_product_projections_and_slotwise_maps():
             )
 
 
+def test_tupled_values_rows_and_source_check():
+    a = FinSet((2, 0, "x"))
+    f = FinMap(a, FinSet((0, 1)), (1, 0, 1))
+    g = FinMap(a, FinSet(("u", "v")), ("u", "u", "v"))
+    assert tupled_values(a, (f, g, f)) == [(f(e), g(e), f(e)) for e in a]
+    assert tupled_values(a, ()) == [(), (), ()]
+    assert tupled_values(FinSet(()), (constant_map(FinSet(()), a, 0),)) == []
+    with pytest.raises(AssertionError):
+        tupled_values(FinSet((0, 2)), (f,))
+
+
 def test_limit_empty_diagram_is_terminal():
     obj, projs = limit(FinDiagram((), ()))
     assert obj.elements == ((),)
@@ -173,6 +187,70 @@ def test_limit_prunes_with_parallel_arrows():
     # equalizer-style diagram: both arrows must agree, which never happens
     obj, _ = limit(FinDiagram((("a", a), ("b", a)), (("a", "b", f), ("a", "b", g))))
     assert len(obj) == 0
+
+
+# node names and element labels of mixed types, listed out of label order
+LIMIT_NAMES = ("q", 3, ("r", 2), 0, "p", (1,))
+LIMIT_LABELS = ((1, "a"), "b", 2, ((),), 0, "a", (0,), 1)
+
+
+def _random_limit_diagram(rng):
+    """A diagram on 1-4 nodes with 0-6 arrows between random endpoints.
+
+    Nodes hold 0-3 labels, at most one node being empty.  Each arrow
+    maps a hidden row's value at its source to the row's value at its
+    target and is random elsewhere, so the hidden row is in the limit.
+    """
+    names = rng.sample(LIMIT_NAMES, rng.randint(1, 4))
+    empty = rng.choice(names + [None] * 3)
+    sets = {
+        n: FinSet(rng.sample(LIMIT_LABELS, 0 if n == empty else rng.randint(1, 3)))
+        for n in names
+    }
+    hidden = {n: rng.choice(sets[n].elements) for n in names if n != empty}
+    arrows = []
+    for _ in range(rng.randint(0, 6)):
+        s = rng.choice(names)
+        # only an empty node maps into an empty node
+        d = rng.choice([n for n in names if len(sets[n]) or n == s == empty])
+        images = [rng.choice(sets[d].elements) for _ in sets[s].elements]
+        if s in hidden and d in hidden:
+            images[sets[s].index(hidden[s])] = hidden[d]
+        arrows.append((s, d, FinMap(sets[s], sets[d], tuple(images))))
+    return FinDiagram(tuple(sets.items()), tuple(arrows))
+
+
+def test_limit_matches_filtered_product(rng):
+    seen = Counter()
+    for _ in range(400):
+        diag = _random_limit_diagram(rng)
+        byname = dict(diag.nodes)
+        names = sorted(byname, key=label_key)
+        col = {n: i for i, n in enumerate(names)}
+        reference = [
+            t
+            for t in itertools.product(*(byname[n].elements for n in names))
+            if all(m(t[col[s]]) == t[col[d]] for s, d, m in diag.arrows)
+        ]
+        obj, projs = limit(diag)
+        assert obj.elements == FinSet(tuple(reference)).elements
+        assert set(projs) == set(names)
+        for n in names:
+            assert projs[n].src == obj and projs[n].dst == byname[n]
+            assert projs[n].assignment == tuple(t[col[n]] for t in obj.elements)
+        links = Counter(frozenset((s, d)) for s, d, _ in diag.arrows)
+        directed = Counter((s, d) for s, d, _ in diag.arrows)
+        linked = {n for s, d, _ in diag.arrows for n in (s, d)}
+        seen["self-loop"] += any(s == d for s, d, _ in diag.arrows)
+        seen["parallel"] += any(k > 1 for k in directed.values())
+        seen["both ways"] += any(
+            (d, s) in directed for s, d in directed if s != d
+        )
+        seen["empty node"] += any(len(x) == 0 for x in byname.values())
+        seen["unlinked node"] += len(names) > len(linked) and bool(links)
+        seen["nonempty limit"] += len(obj) > 0
+        seen["mixed names"] += len({type(n) for n in names}) == 3
+    assert len(seen) == 7 and min(seen.values()) >= 10, seen
 
 
 def test_span_validation():

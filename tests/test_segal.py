@@ -17,7 +17,9 @@ from segalspans.segal import (
     square_instances,
     triangulations,
 )
-from segalspans.sobj import SimpObj, relabel, truncate
+from segalspans.orders import all_lin_maps, standard_order
+from segalspans.sobj import SimpObj, apply_delta_op, relabel, truncate
+from segalspans.spanalg import check_algebra_conditions
 
 Z2 = cyclic_group_table(2)
 Z3 = cyclic_group_table(3)
@@ -146,3 +148,110 @@ def test_degenerate_corruption_caught_by_unital():
     degens[1][0] = FinMap(m.src, m.dst, tuple(asg))
     bad = SimpObj(x.sets, x.faces, tuple(tuple(r) for r in degens))
     assert not check_unital(bad).ok
+
+
+def swap_face_images(x, n, i, a, b):
+    """x with the images of a and b under the face d_i at rank n swapped."""
+    f = x.face(n, i)
+    pos_a, pos_b = f.src.index(a), f.src.index(b)
+    asg = list(f.assignment)
+    assert asg[pos_a] != asg[pos_b]
+    asg[pos_a], asg[pos_b] = asg[pos_b], asg[pos_a]
+    faces = [list(row) for row in x.faces]
+    faces[n - 1][i] = FinMap(f.src, f.dst, tuple(asg))
+    return SimpObj(x.sets, tuple(tuple(r) for r in faces), x.degens)
+
+
+def _findings(rep):
+    return [(f.check, f.location, f.witness) for f in rep.findings]
+
+
+# (check, location, witness) of every finding, recorded on the
+# per-element comparison loops; each checker must keep reporting them
+PINNED_Z3 = {
+    check_2segal: [
+        ("2segal-square", (2, 2, 1), ((0, 2, 0), (2, 0, 0))),
+        ("2segal-square", (3, 2, 1), (0, 0, 2, 1)),
+        ("2segal-square", (3, 2, 2), (0, 0, 2, 1)),
+    ],
+    check_unital: [
+        ("unital-square", (3, 0), (2, 1)),
+        ("unital-square", (3, 1), (2, 0)),
+        ("unital-square", (4, 0), (2, 1, 0)),
+        ("unital-square", (4, 1), (2, 0, 0)),
+    ],
+    check_2segal_triangulations: [
+        ("triangulation", (3, ((0, 1, 2), (0, 2, 3))), ((0, 2, 0), (2, 0, 0))),
+        ("triangulation", (3, ((0, 1, 3), (1, 2, 3))), (0, 2, 1)),
+        ("triangulation", (4, ((0, 1, 2), (0, 2, 3), (0, 3, 4))),
+         ((0, 2, 0, 0), (2, 0, 0, 0))),
+        ("triangulation", (4, ((0, 1, 2), (0, 2, 4), (2, 3, 4))),
+         ((0, 2, 0, 0), (2, 0, 0, 0))),
+        ("triangulation", (4, ((0, 1, 3), (0, 3, 4), (1, 2, 3))), (0, 2, 1, 0)),
+        ("triangulation", (4, ((0, 1, 4), (1, 2, 3), (1, 3, 4))), (0, 2, 1, 0)),
+        ("triangulation", (4, ((0, 1, 4), (1, 2, 4), (2, 3, 4))), (0, 2, 1, 0)),
+    ],
+    check_algebra_conditions: [
+        ("reduced-square", (2, 2, 1), (((0, 2, 0),), ((2, 0, 0),))),
+        ("reduced-square", (2, 2, 2), ((0, 2, 1),)),
+        ("reduced-square", (2, 3, 2), ((0, 2, 1, 0),)),
+        ("reduced-square", (3, 2, 1), ((0, 0, 2, 1),)),
+        ("reduced-square", (3, 2, 2), ((0, 0, 2, 1),)),
+        ("reduced-square", (3, 2, 3), ((0, 2, 0, 1),)),
+        ("fan-limit", (1, 1, 1), ((0, 2, 0), (2, 0, 0))),
+        ("fan-limit", (2, 1, 1), ((0, 2, 0, 0), (2, 0, 0, 0))),
+    ],
+}
+
+PINNED_FLAGS = {
+    check_2segal: [
+        ("2segal-square", (2, 2, 1), ((0, 1), (), (2,))),
+        ("2segal-square", (3, 2, 1), ((0, 1), (), (2,), ())),
+        ("2segal-square", (3, 2, 2), ((0, 1), (), (), (2,))),
+    ],
+    check_unital: [
+        ("unital-square", (3, 1), ((0, 1), (2,))),
+        ("unital-square", (4, 1), ((0, 1), (2,), ())),
+    ],
+    check_2segal_triangulations: [
+        ("triangulation", (3, ((0, 1, 2), (0, 2, 3))), ((0, 1), (), (2,))),
+        ("triangulation", (3, ((0, 1, 3), (1, 2, 3))), ((0, 1), (), (2,))),
+    ] + [
+        ("triangulation", (4, tris), ((0, 1), (), (2,), ()))
+        for tris in triangulations(range(5))
+    ],
+    check_algebra_conditions: [
+        ("reduced-square", (2, 2, 1), (((0, 1), (), (2,)),)),
+        ("reduced-square", (3, 2, 1), (((), (0, 1), (), (2,)),)),
+        ("reduced-square", (3, 2, 2), (((0, 1), (), (), (2,)),)),
+        ("reduced-square", (3, 2, 3), (((0, 1), (), (), (2,)),)),
+        ("fan-limit", (1, 1, 1), ((0, 1), (), (2,))),
+        ("fan-limit", (2, 1, 1), ((0, 1), (), (2,), ())),
+    ],
+}
+
+
+@pytest.mark.parametrize("x, pinned", [
+    (swap_face_images(nerve_of_monoid(Z3, 4), 3, 3, (2, 0, 0), (0, 2, 1)), PINNED_Z3),
+    (
+        swap_face_images(
+            flag_decomposition(3, 4), 3, 3, ((0, 1), (2,), ()), ((0, 1), (), (2,))
+        ),
+        PINNED_FLAGS,
+    ),
+], ids=["z3", "flags"])
+def test_corrupted_face_findings_are_pinned(x, pinned):
+    for check, expected in pinned.items():
+        assert _findings(check(x)) == expected, check.__name__
+
+
+def test_structure_maps_start_at_the_source_level():
+    # the checkers read comparison values as columns of assignments,
+    # which lines them up with x.level(b).elements
+    x = nerve_of_monoid(Z3, 4)
+    for a in range(4):
+        for b in range(4):
+            for phi in all_lin_maps(standard_order(a), standard_order(b)):
+                m = apply_delta_op(x, phi)
+                assert m.src == x.level(b)
+                assert m.dst == x.level(a)
