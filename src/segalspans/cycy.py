@@ -48,7 +48,8 @@ from .orders import (
 from .dualities import PointedMap, PointedSet
 from .report import Report
 from .sobj import CycObj, apply_delta_op, apply_lambda_op
-from .spanalg import _judge_bijection_pairs, multiplication_span
+from .segal import judge_bijection
+from .spanalg import multiplication_span
 
 
 @dataclass(frozen=True)
@@ -290,10 +291,6 @@ class CyclicRank:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("cyclic rank must be >= 0")
-
-
-def family_of_ranks(pairs):
-    return FamilyObj(tuple(pairs))
 
 
 def family_union_cycle(fam, cycle):
@@ -704,23 +701,6 @@ def unit_edges_morphism(fam):
 # condition checks
 
 
-def _bijection_finding(rep, check, location, m):
-    seen = {}
-    for e in m.src.elements:
-        v = m(e)
-        if v in seen:
-            rep.fail(check, location, witness=(seen[v], e),
-                     detail="two cells share an image")
-            return
-        seen[v] = e
-    for v in m.dst.elements:
-        if v not in seen:
-            rep.fail(check, location, witness=v,
-                     detail="image misses this cell")
-            return
-    rep.fail(check, location, detail="map fails to be a bijection")
-
-
 def _gap_rank_instances(gap_count, cap, level_cap):
     for ranks in itertools.product(range(cap + 1), repeat=gap_count):
         if sum(ranks) <= level_cap:
@@ -849,7 +829,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             right = fn.action(to_coarse)
             pb, _, _ = pullback(fn.action(long), fn.action(units))
             values = list(zip(left.assignment, right.assignment))
-            _judge_bijection_pairs(
+            judge_bijection(
                 rep, "cell-subdivision", loc, fn.value(apex), values, pb
             )
 
@@ -907,7 +887,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             left = fn.action(to_fam)
             right = fn.action(to_cyc)
             values = list(zip(left.assignment, right.assignment))
-            _judge_bijection_pairs(
+            judge_bijection(
                 rep, "cyclic-subdivision", loc, fn.value(apex), values, pb
             )
 
@@ -928,7 +908,14 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                 act.src, x.level(n), tuple(v[0] for v in act.assignment)
             )
             if not comp.is_bijection():
-                _bijection_finding(rep, "localization-rotation", (n, k), comp)
+                judge_bijection(
+                    rep,
+                    "localization-rotation",
+                    (n, k),
+                    comp.src,
+                    comp.assignment,
+                    comp.dst,
+                )
 
     for n in range(1, n_top + 1):
         edge = apply_delta_op(
@@ -943,7 +930,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
         pb, _, _ = pullback(twisted, x.degen(0, 0))
         twist_in = x.rot(n).compose(x.degen(n - 1, n - 1))
         comparison = list(zip(twist_in.assignment, vertex.assignment))
-        _judge_bijection_pairs(
+        judge_bijection(
             rep,
             "rotation-degeneracy-square",
             (n,),
@@ -1046,7 +1033,9 @@ def check_nondegeneracy(x, report=None):
         )
         if not leg.is_bijection():
             legs_ok = False
-            _bijection_finding(rep, "pairing-leg", (idx + 1,), leg)
+            judge_bijection(
+                rep, "pairing-leg", (idx + 1,), leg.src, leg.assignment, leg.dst
+            )
 
     into_right, out_of_right, into_left, out_of_left = _unitor_spans(x1)
     one = identity_span(x1)

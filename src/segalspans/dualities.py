@@ -283,10 +283,6 @@ class PointedMap:
         )
 
 
-def identity_pointed(s):
-    return PointedMap(s, s, s.points)
-
-
 def cut(n):
     """The pointed set of inner gaps of the rank-n order."""
     if n < 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finset import FinMap, FinSet, fin_map_by
+from .finset import FinSet, fin_map_by
 from .sobj import CycObj, SimpObj
 
 

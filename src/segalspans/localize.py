@@ -47,12 +47,6 @@ from .spanalg import DeltaStarMor, DeltaStarObj, all_delta_star_mors, identity_s
 from .report import Report
 
 
-# Disagreements between linearization choices in the round-flavor
-# collapse are recorded here before the error is raised; an entry means
-# the claimed independence of the choice failed on a concrete instance.
-LINEARIZATION_LOG = []
-
-
 @dataclass(frozen=True)
 class LocalizeBudget:
     """Enumeration bounds for the brute-force verification sweeps.
@@ -345,14 +339,15 @@ def _dual_all_starts(w, location):
     """The cyclic dual of w, computed at every linearization start.
 
     The construction claims independence of the start; a disagreement is
-    logged and raised rather than silently resolved.
+    raised, naming the location and both duals, rather than silently
+    resolved.
     """
     duals = [D_on_map(w, start=h) for h in w.dst.cycle]
     for other in duals[1:]:
         if other != duals[0]:
-            LINEARIZATION_LOG.append((location, w, duals[0], other))
             raise ValueError(
-                "cyclic linearization choices disagree; instance logged"
+                f"cyclic linearization choices disagree at {location}: "
+                f"{duals[0]!r} vs {other!r}"
             )
     return duals[0]
 
@@ -547,12 +542,9 @@ def weak_fiber_initial(m):
     """The explicitly built initial row collapsing to the given tuple."""
     if isinstance(m, DeltaStarObj):
         k = len(m.ranks)
-        total = sum(m.ranks)
-        ps = [0]
-        for r in m.ranks:
-            ps.append(ps[-1] + r)
+        ps = tuple(itertools.accumulate(m.ranks, initial=0))
         amb = standard_order(k)
-        base = LinMap(amb, standard_order(total), tuple(ps))
+        base = LinMap(amb, standard_order(ps[-1]), ps)
         z = OmegaObjDelta(IntervalContext(amb, 0, k), base)
     elif isinstance(m, FamilyObj):
         if len(m) == 0:
@@ -611,9 +603,7 @@ def _factor_delta(z, g):
     k = j - i
     ranks_m = g.dst.ranks
     kp = len(ranks_m)
-    ps_m = [0]
-    for r in ranks_m:
-        ps_m.append(ps_m[-1] + r)
+    ps_m = list(itertools.accumulate(ranks_m, initial=0))
     m_tot = ps_m[-1]
 
     # the glued fiber-side map gamma, read off block by block
@@ -717,6 +707,13 @@ def _region_runs(fiber, order, ranks, comp):
     return fresh, runs
 
 
+def _carry(key, run, fx_fibers, gbar_fibers):
+    # a run of source fiber points, carried unchanged over the new base
+    # point key of the built row
+    fx_fibers.append((key, tuple(("t", t) for t in run)))
+    gbar_fibers.extend((("t", t), (t,)) for t in run)
+
+
 def _factor_family(z, g):
     if z.is_round or g.src != localize_object(z):
         raise ValueError("g must leave the collapse of z")
@@ -735,15 +732,13 @@ def _factor_family(z, g):
             # a marked point no block lands on is carried like an
             # unmarked one, fiber and all
             s_x_fibers.append((p, (("u", p),)))
-            fx_fibers.append((("u", p), tuple(("t", t) for t in f.fiber(p))))
-            gbar_fibers.extend((("t", t), (t,)) for t in f.fiber(p))
+            _carry(("u", p), f.fiber(p), fx_fibers, gbar_fibers)
             continue
         fresh, runs = _region_runs(f.fiber(p), order, ranks, g.comp(p))
         window = []
         if runs["min"]:
             window.append(("rmin", p))
-            fx_fibers.append((("rmin", p), tuple(("t", t) for t in runs["min"])))
-            gbar_fibers.extend((("t", t), (t,)) for t in runs["min"])
+            _carry(("rmin", p), runs["min"], fx_fibers, gbar_fibers)
         for b, q in enumerate(order):
             window.append(q)
             fx_fibers.append((q, tuple(("m", q, x) for x in range(ranks[q]))))
@@ -752,19 +747,16 @@ def _factor_family(z, g):
             run = runs.get(("after", q), ()) if b < len(order) - 1 else None
             if run:
                 window.append(("r", q))
-                fx_fibers.append((("r", q), tuple(("t", t) for t in run)))
-                gbar_fibers.extend((("t", t), (t,)) for t in run)
-        if order and runs["max"]:
+                _carry(("r", q), run, fx_fibers, gbar_fibers)
+        if runs["max"]:
             window.append(("rmax", p))
-            fx_fibers.append((("rmax", p), tuple(("t", t) for t in runs["max"])))
-            gbar_fibers.extend((("t", t), (t,)) for t in runs["max"])
+            _carry(("rmax", p), runs["max"], fx_fibers, gbar_fibers)
         s_x_fibers.append((p, tuple(window)))
     for s in s_pts:
         if s in marked:
             continue
         s_x_fibers.append((s, (("u", s),)))
-        fx_fibers.append((("u", s), tuple(("t", t) for t in f.fiber(s))))
-        gbar_fibers.extend((("t", t), (t,)) for t in f.fiber(s))
+        _carry(("u", s), f.fiber(s), fx_fibers, gbar_fibers)
     junk = tuple(t for t in f.src.points if f(t) is BASE)
     gbar_fibers.extend((("t", t), (t,)) for t in junk)
 
@@ -782,6 +774,11 @@ def _factor_family(z, g):
     return x, phi
 
 
+def _round_junk(z):
+    # carrier points of a diamond row off its cycle
+    return tuple(t for t in z.carrier.points if t not in z.base.cycle.carrier)
+
+
 def _factor_round(z, g):
     if not z.is_round or g.src != localize_object(z):
         raise ValueError("g must leave the collapse of z")
@@ -795,7 +792,7 @@ def _factor_round(z, g):
     )
     if D_on_map(w) != d:
         raise AssertionError("dual inversion failed")
-    junk = tuple(t for t in z.carrier.points if t not in u.carrier)
+    junk = _round_junk(z)
     t_x = PointedSet(tuple(range(n + 1)) + tuple(("t", t) for t in junk))
     gbar_fibers = [(v, w.fiber(v)) for v in range(n + 1)]
     gbar_fibers.extend(((("t", t), (t,))) for t in junk)
@@ -829,9 +826,8 @@ def _factor_round_family(z, g):
         run = arcs.fiber((q, rank))
         if run:
             window.append(("r", q))
-            fx_fibers.append((("r", q), tuple(("t", t) for t in run)))
-            gbar_fibers.extend((("t", t), (t,)) for t in run)
-    junk = tuple(t for t in z.carrier.points if t not in u.carrier)
+            _carry(("r", q), run, fx_fibers, gbar_fibers)
+    junk = _round_junk(z)
     gbar_fibers.extend((("t", t), (t,)) for t in junk)
     s_x = PointedSet(tuple(window))
     t_x = PointedSet(
@@ -899,24 +895,31 @@ def _gbar_fills(z1, z2, gpos, extra=()):
         yield tuple(vals[y] for y in range(m2 + 1))
 
 
+def _delta_squares(z1, z2, gpositions, extra=()):
+    """The squares z1 -> z2 over each ambient map in gpositions."""
+    amb1 = z1.interval.ambient
+    amb2 = z2.interval.ambient
+    fib1 = z1.base.dst
+    fib2 = z2.base.dst
+    for gpos in gpositions:
+        for vals in _gbar_fills(z1, z2, gpos, extra):
+            yield OmegaMorDelta(
+                z1,
+                z2,
+                LinMap(amb1, amb2, tuple(amb2.elements[p] for p in gpos)),
+                LinMap(fib2, fib1, tuple(fib1.elements[v] for v in vals)),
+            )
+
+
 def all_omega_delta_mors(z1, z2):
     n1 = len(z1.interval.ambient) - 1
     n2 = len(z2.interval.ambient) - 1
     i1, j1 = z1.lo_pos, z1.hi_pos
     i2, j2 = z2.lo_pos, z2.hi_pos
-    amb2 = z2.interval.ambient
-    fib1 = z1.base.dst
-    fib2 = z2.base.dst
-    for gpos in itertools.combinations_with_replacement(range(n2 + 1), n1 + 1):
-        if not (gpos[i1] <= i2 and j2 <= gpos[j1]):
-            continue
-        for vals in _gbar_fills(z1, z2, gpos):
-            yield OmegaMorDelta(
-                z1,
-                z2,
-                LinMap(z1.interval.ambient, amb2, tuple(amb2.elements[p] for p in gpos)),
-                LinMap(fib2, fib1, tuple(fib1.elements[v] for v in vals)),
-            )
+    gpositions = itertools.combinations_with_replacement(range(n2 + 1), n1 + 1)
+    yield from _delta_squares(
+        z1, z2, (gp for gp in gpositions if gp[i1] <= i2 and j2 <= gp[j1])
+    )
 
 
 def _e_mors_delta(z1, z2):
@@ -941,26 +944,11 @@ def _e_mors_delta(z1, z2):
     n2 = len(z2.interval.ambient) - 1
     width = fpos[j1] - fpos[i1]
     extra = tuple((f2pos[i2] + t, fpos[i1] + t) for t in range(width + 1))
-    amb2 = z2.interval.ambient
-    fib1 = z1.base.dst
-    fib2 = z2.base.dst
-    window = tuple(i2 + t for t in range(k + 1))
-    for head in itertools.combinations_with_replacement(range(i2 + 1), i1):
-        for tail in itertools.combinations_with_replacement(
-            range(j2, n2 + 1), n1 - j1
-        ):
-            gpos = head + window + tail
-            for vals in _gbar_fills(z1, z2, gpos, extra):
-                yield OmegaMorDelta(
-                    z1,
-                    z2,
-                    LinMap(
-                        z1.interval.ambient,
-                        amb2,
-                        tuple(amb2.elements[p] for p in gpos),
-                    ),
-                    LinMap(fib2, fib1, tuple(fib1.elements[v] for v in vals)),
-                )
+    window = tuple(range(i2, j2 + 1))
+    heads = itertools.combinations_with_replacement(range(i2 + 1), i1)
+    tails = itertools.combinations_with_replacement(range(j2, n2 + 1), n1 - j1)
+    gpositions = (h + window + t for h, t in itertools.product(heads, tails))
+    yield from _delta_squares(z1, z2, gpositions, extra)
 
 
 def _fiber_size_profiles(n_points, total_cap, each_cap):
@@ -1009,6 +997,18 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
+def _run_splits(seq, parts):
+    """Every cut of an ordered sequence into consecutive runs, one per
+    part in order, as a dict from part to run."""
+    for comp in _compositions(len(seq), len(parts)):
+        split = {}
+        pos = 0
+        for u, ln in zip(parts, comp):
+            split[u] = tuple(seq[pos : pos + ln])
+            pos += ln
+        yield split
+
+
 def _junk_placements(junk, dead):
     if not junk:
         yield {}
@@ -1025,74 +1025,64 @@ def _junk_placements(junk, dead):
             yield dict(zip(keys, map(tuple, orders)))
 
 
-def _pointed_splits(z1, z2, h):
-    """gbar candidates for a fixed base map, via run-splitting."""
+def _fiber_maps(src, dst, split, junk, dead):
+    """Every ordered-fiber map src -> dst with the fibers given by split,
+    the junk points spread in every order over the dead points of dst,
+    and every other fiber empty."""
+    for placement in _junk_placements(junk, dead):
+        fibers = tuple((u, split.get(u, placement.get(u, ()))) for u in dst.points)
+        yield AssMor(src, dst, fibers)
+
+
+def _pointed_splits(z1, z2, h, rigid=frozenset()):
+    """gbar candidates for a fixed base map, via run-splitting.
+
+    The fiber over each base point is cut into runs along the parts h
+    sends to it; over a point of ``rigid`` it is carried across one
+    element per part instead.
+    """
     f1 = z1.base
-    t2 = z2.carrier
-    plans = []
+    pools = []  # consumed only once every point is known to be coverable
+    hit = set()
     for s in f1.dst.points:
         fiber = f1.fiber(s)
         parts = h.fiber(s)
-        if not parts and fiber:
+        hit.update(parts)
+        if s in rigid:
+            pools.append([{u: (x,) for u, x in zip(parts, fiber)}])
+        elif parts or not fiber:
+            pools.append(_run_splits(fiber, parts))
+        else:
             return
-        plans.append((fiber, parts))
-    hit = {u for _, parts in plans for u in parts}
-    dead = [u for u in t2.points if u not in hit]
+    dead = [u for u in z2.carrier.points if u not in hit]
     junk = tuple(t for t in f1.src.points if f1(t) is BASE)
-    pools = []
-    for fiber, parts in plans:
-        choices = []
-        for comp in _compositions(len(fiber), len(parts)):
-            d = {}
-            pos = 0
-            for u, ln in zip(parts, comp):
-                d[u] = fiber[pos : pos + ln]
-                pos += ln
-            choices.append(d)
-        pools.append(choices)
     for combo in itertools.product(*pools):
         merged = {}
         for d in combo:
             merged.update(d)
-        for placement in _junk_placements(junk, dead):
-            fibers = tuple(
-                (u, merged.get(u, placement.get(u, ()))) for u in t2.points
-            )
-            yield AssMor(f1.src, t2, fibers)
+        yield from _fiber_maps(f1.src, z2.carrier, merged, junk, dead)
 
 
 def _cyclic_splits(useq, parts):
-    big = len(useq)
     seen = set()
-    for rot in range(big):
-        lin = useq[rot:] + useq[:rot]
-        for comp in _compositions(big, len(parts)):
-            d = {}
-            pos = 0
-            for u, ln in zip(parts, comp):
-                d[u] = tuple(lin[pos : pos + ln])
-                pos += ln
-            key = tuple(sorted(d.items(), key=lambda kv: label_key(kv[0])))
+    for rot in range(len(useq)):
+        for split in _run_splits(useq[rot:] + useq[:rot], parts):
+            key = tuple(sorted(split.items(), key=lambda kv: label_key(kv[0])))
             if key not in seen:
                 seen.add(key)
-                yield d
+                yield split
 
 
 def _round_source_mors(z1, z2, g, chain_mor):
     """Squares out of a diamond row along a fixed base map."""
-    useq = z1.base.cycle.cycle
     if chain_mor.cycle is None:
         return
-    parts = chain_mor.cycle.cycle
     t2 = z2.carrier
     dead = [u for u in t2.points if u not in chain_mor.subset]
-    junk = tuple(t for t in z1.carrier.points if t not in z1.base.cycle.carrier)
-    for split in _cyclic_splits(useq, parts):
-        for placement in _junk_placements(junk, dead):
-            fibers = tuple(
-                (u, split.get(u, placement.get(u, ()))) for u in t2.points
-            )
-            yield OmegaMorLambda(z1, z2, g, AssMor(z1.carrier, t2, fibers))
+    junk = _round_junk(z1)
+    for split in _cyclic_splits(z1.base.cycle.cycle, chain_mor.cycle.cycle):
+        for gbar in _fiber_maps(z1.carrier, t2, split, junk, dead):
+            yield OmegaMorLambda(z1, z2, g, gbar)
 
 
 def all_omega_lambda_mors(z1, z2):
@@ -1130,22 +1120,17 @@ def _e_round_round(z1, z2):
     if len(u1.cycle) != len(u2.cycle):
         return
     useq = u1.cycle
-    dead = [t for t in z2.carrier.points if t not in u2.carrier]
-    junk = tuple(t for t in z1.carrier.points if t not in u1.carrier)
+    junk, dead = _round_junk(z1), _round_junk(z2)
     for rot in range(len(useq)):
-        lin = useq[rot:] + useq[:rot]
-        split = dict(zip(u2.cycle, ((x,) for x in lin)))
-        for placement in _junk_placements(junk, dead):
-            fibers = tuple(
-                (u, split.get(u, placement.get(u, ())))
-                for u in z2.carrier.points
-            )
-            yield OmegaMorLambda(
-                z1, z2, ID_DIAMOND, AssMor(z1.carrier, z2.carrier, fibers)
-            )
+        split = dict(zip(u2.cycle, ((x,) for x in useq[rot:] + useq[:rot])))
+        for gbar in _fiber_maps(z1.carrier, z2.carrier, split, junk, dead):
+            yield OmegaMorLambda(z1, z2, ID_DIAMOND, gbar)
 
 
 def _e_pointed(z1, z2):
+    """Window-rigid squares between pointed rows: base maps g that send
+    the target's marked points bijectively onto the source's, over
+    fibers of equal length, and nothing else into the window."""
     f1, f2 = z1.base, z2.base
     p1 = z1.marked
     q2 = z2.marked
@@ -1158,54 +1143,14 @@ def _e_pointed(z1, z2):
     ]
     unmarked2 = tuple(s for s in s2.points if s not in q2)
     unmarked1 = [s for s in s1.points if s not in p1]
-    junk = tuple(t for t in f1.src.points if f1(t) is BASE)
     for images in itertools.product(*cands):
         if len(set(images)) != len(images):
             continue
         back = {p: (q,) for q, p in zip(q2s, images)}
-        for placement in _junk_placements(unmarked2, unmarked1):
-            g_fibers = tuple(
-                (s, back.get(s, placement.get(s, ()))) for s in s1.points
-            )
-            g = AssMor(s2, s1, g_fibers)
+        for g in _fiber_maps(s2, s1, back, unmarked2, unmarked1):
             h = ass_compose(g, f2)
-            plans = []
-            ok = True
-            for s in s1.points:
-                fiber = f1.fiber(s)
-                parts = h.fiber(s)
-                if s in p1:
-                    # the window fibers are carried across rigidly
-                    plans.append([{u: (fiber[x],) for x, u in enumerate(parts)}])
-                    continue
-                if not parts and fiber:
-                    ok = False
-                    break
-                choices = []
-                for comp in _compositions(len(fiber), len(parts)):
-                    d = {}
-                    pos = 0
-                    for u, ln in zip(parts, comp):
-                        d[u] = fiber[pos : pos + ln]
-                        pos += ln
-                    choices.append(d)
-                plans.append(choices)
-            if not ok:
-                continue
-            hit = {u for s in s1.points for u in h.fiber(s)}
-            dead2 = [u for u in f2.src.points if u not in hit]
-            for combo in itertools.product(*plans):
-                merged = {}
-                for d in combo:
-                    merged.update(d)
-                for placement2 in _junk_placements(junk, dead2):
-                    fibers = tuple(
-                        (u, merged.get(u, placement2.get(u, ())))
-                        for u in f2.src.points
-                    )
-                    yield OmegaMorLambda(
-                        z1, z2, g, AssMor(f1.src, f2.src, fibers)
-                    )
+            for gbar in _pointed_splits(z1, z2, h, rigid=p1):
+                yield OmegaMorLambda(z1, z2, g, gbar)
 
 
 def all_e_mors(z1, z2):
@@ -1372,12 +1317,7 @@ def verify_localization(budget=None, report=None, deep=True):
     # identities collapse to identities and sit in the rigid class
     for z in delta_objs + lambda_objs:
         ident = identity_omega(z)
-        want = (
-            identity_star(loc_obj[z])
-            if isinstance(z, OmegaObjDelta)
-            else lambda_star_identity(loc_obj[z])
-        )
-        if localize_morphism(ident) != want:
+        if not _is_fiber_identity(localize_morphism(ident), loc_obj[z]):
             rep.fail("identity-collapse", ("object", str(z)), witness=str(z))
         if not is_in_E(ident):
             rep.fail("identity-in-E", ("object", str(z)), witness=str(z))
@@ -1388,12 +1328,8 @@ def verify_localization(budget=None, report=None, deep=True):
         f"window-rigid squares over the full universe: {ne} checked"
     )
 
-    fibers_d = {}
-    for z in delta_objs:
-        fibers_d.setdefault(loc_obj[z], []).append(z)
-    fibers_l = {}
-    for z in lambda_objs:
-        fibers_l.setdefault(loc_obj[z], []).append(z)
+    fibers_d = _buckets(delta_objs, loc_obj.__getitem__)
+    fibers_l = _buckets(lambda_objs, loc_obj.__getitem__)
 
     d_targets = list(delta_star_targets(bud))
     l_targets = [
@@ -1419,11 +1355,22 @@ def verify_localization(budget=None, report=None, deep=True):
 
     _verify_core(rep, bud, delta_objs, lambda_objs, d_targets, l_targets)
 
-    nf = _check_universality_probes(
-        rep, d_targets, fibers_d, _delta_probes, all_delta_star_mors
+    # probe rows stay out of the exhaustive tier's caches
+    nf = _check_universality(
+        rep,
+        ((z, m) for m in d_targets for z in _delta_probes(m)),
+        fibers_d,
+        all_omega_mors,
+        localize_morphism,
+        all_delta_star_mors,
     )
-    nf += _check_universality_probes(
-        rep, l_targets, fibers_l, _lambda_probes, all_lambda_star_mors
+    nf += _check_universality(
+        rep,
+        ((z, m) for m in l_targets for z in _lambda_probes(m)),
+        fibers_l,
+        all_omega_mors,
+        localize_morphism,
+        all_lambda_star_mors,
     )
     rep.note_scope(
         f"factorization instances against full weak fibers: {nf}, from the "
@@ -1478,17 +1425,21 @@ def _verify_core(rep, bud, delta_objs, lambda_objs, d_targets, l_targets):
     _check_functoriality(rep, core_d, hom, loc, "interval")
     _check_functoriality(rep, core_l, hom, loc, "round")
 
-    cf_d = {}
-    for z in core_d:
-        cf_d.setdefault(localize_object(z), []).append(z)
-    cf_l = {}
-    for z in core_l:
-        cf_l.setdefault(localize_object(z), []).append(z)
     n = _check_universality(
-        rep, core_d, d_targets, cf_d, hom, loc, all_delta_star_mors
+        rep,
+        ((z, m) for z in core_d for m in d_targets),
+        _buckets(core_d, localize_object),
+        hom,
+        loc,
+        all_delta_star_mors,
     )
     n += _check_universality(
-        rep, core_l, l_targets, cf_l, hom, loc, all_lambda_star_mors
+        rep,
+        ((z, m) for z in core_l for m in l_targets),
+        _buckets(core_l, localize_object),
+        hom,
+        loc,
+        all_lambda_star_mors,
     )
     rep.note_scope(f"exhaustive tier factorization instances: {n}")
 
@@ -1516,41 +1467,44 @@ def _check_e_overlay(rep, objs, tag):
     return checked
 
 
+def _annotated(mors, loc):
+    return [(mu, loc(mu), bool(is_in_E(mu))) for mu in mors]
+
+
+def _check_pairs(rep, tag, incoming, outgoing, want_cache):
+    """Collapse functoriality and closure of the rigid class over every
+    composite of an incoming and an outgoing square, each annotated with
+    its collapse and E verdict."""
+    for mu, lmu, emu in incoming:
+        for nu, lnu, enu in outgoing:
+            comp = nu.compose(mu)
+            key = (lnu, lmu)
+            want = want_cache.get(key)
+            if want is None:
+                want = _tuple_compose(lnu, lmu)
+                want_cache[key] = want
+            if localize_morphism(comp) != want:
+                rep.fail(
+                    "collapse-functoriality",
+                    (tag, str(mu.src), str(mu.dst), str(nu.dst)),
+                    witness=(str(mu), str(nu)),
+                )
+            if emu and enu and not is_in_E(comp):
+                rep.fail(
+                    "E-closure",
+                    (tag, str(mu.src), str(nu.dst)),
+                    witness=(str(mu), str(nu)),
+                )
+    return len(incoming) * len(outgoing)
+
+
 def _check_functoriality(rep, objs, hom, loc, tag):
     pairs = 0
     want_cache = {}
     for z2 in objs:
-        incoming = [
-            (mu, loc(mu), bool(is_in_E(mu)))
-            for z1 in objs
-            for mu in hom(z1, z2)
-        ]
-        outgoing = [
-            (nu, loc(nu), bool(is_in_E(nu)))
-            for z3 in objs
-            for nu in hom(z2, z3)
-        ]
-        for mu, lmu, emu in incoming:
-            for nu, lnu, enu in outgoing:
-                pairs += 1
-                comp = nu.compose(mu)
-                key = (lnu, lmu)
-                want = want_cache.get(key)
-                if want is None:
-                    want = _tuple_compose(lnu, lmu)
-                    want_cache[key] = want
-                if localize_morphism(comp) != want:
-                    rep.fail(
-                        "collapse-functoriality",
-                        (tag, str(mu.src), str(z2), str(nu.dst)),
-                        witness=(str(mu), str(nu)),
-                    )
-                if emu and enu and not is_in_E(comp):
-                    rep.fail(
-                        "E-closure",
-                        (tag, str(mu.src), str(nu.dst)),
-                        witness=(str(mu), str(nu)),
-                    )
+        incoming = _annotated((mu for z1 in objs for mu in hom(z1, z2)), loc)
+        outgoing = _annotated((nu for z3 in objs for nu in hom(z2, z3)), loc)
+        pairs += _check_pairs(rep, tag, incoming, outgoing, want_cache)
     rep.note_scope(f"{tag} composable pairs swept exhaustively: {pairs}")
 
 
@@ -1560,33 +1514,18 @@ def _sample_functoriality(rep, objs, bud, tag):
     rng = random.Random(1729)
     cap = bud.sample_cap
     pairs = 0
+    want_cache = {}
     for _ in range(bud.sample_triples):
         z1 = rng.choice(objs)
         z2 = rng.choice(objs)
         z3 = rng.choice(objs)
-        mus = list(itertools.islice(all_omega_mors(z1, z2), cap))
-        nus = [
-            (nu, localize_morphism(nu), bool(is_in_E(nu)))
-            for nu in itertools.islice(all_omega_mors(z2, z3), cap)
-        ]
-        for mu in mus:
-            lmu = localize_morphism(mu)
-            emu = bool(is_in_E(mu))
-            for nu, lnu, enu in nus:
-                pairs += 1
-                comp = nu.compose(mu)
-                if localize_morphism(comp) != _tuple_compose(lnu, lmu):
-                    rep.fail(
-                        "collapse-functoriality",
-                        (tag, str(z1), str(z2), str(z3)),
-                        witness=(str(mu), str(nu)),
-                    )
-                if emu and enu and not is_in_E(comp):
-                    rep.fail(
-                        "E-closure",
-                        (tag, str(z1), str(z3)),
-                        witness=(str(mu), str(nu)),
-                    )
+        incoming = _annotated(
+            itertools.islice(all_omega_mors(z1, z2), cap), localize_morphism
+        )
+        outgoing = _annotated(
+            itertools.islice(all_omega_mors(z2, z3), cap), localize_morphism
+        )
+        pairs += _check_pairs(rep, tag, incoming, outgoing, want_cache)
     return pairs
 
 
@@ -1629,10 +1568,10 @@ def _check_initiality(rep, m, fiber):
             )
 
 
-def _collapse_buckets(mors, loc):
+def _buckets(items, key):
     d = {}
-    for nu in mors:
-        d.setdefault(loc(nu), []).append(nu)
+    for item in items:
+        d.setdefault(key(item), []).append(item)
     return d
 
 
@@ -1667,44 +1606,20 @@ def _check_one_factorization(rep, z, m, g, x, phi, pool, buckets, loc):
                 )
 
 
-def _check_universality(rep, objs, targets, fibers, hom, loc, mor_iter):
+def _check_universality(rep, sources, fibers, hom, loc, mor_iter):
+    """Factor every tuple morphism out of each (row, tuple) source pair
+    and check the factorization against the tuple's weak fiber."""
     count = 0
-    for z in objs:
-        src_t = localize_object(z)
-        for m in targets:
-            gs = list(mor_iter(src_t, m))
-            if not gs:
-                continue
-            pool = fibers.get(m, [])
-            buckets = {w: _collapse_buckets(hom(z, w), loc) for w in pool}
-            for g in gs:
-                count += 1
-                x, phi = universal_factorization(z, g)
-                _check_one_factorization(
-                    rep, z, m, g, x, phi, pool, buckets, loc
-                )
-    return count
-
-
-def _check_universality_probes(rep, targets, fibers, probe_rule, mor_iter):
-    count = 0
-    for m in targets:
+    for z, m in sources:
+        gs = list(mor_iter(localize_object(z), m))
+        if not gs:
+            continue
         pool = fibers.get(m, [])
-        for z in probe_rule(m):
-            src_t = localize_object(z)
-            gs = list(mor_iter(src_t, m))
-            if not gs:
-                continue
-            buckets = {
-                w: _collapse_buckets(list(all_omega_mors(z, w)), localize_morphism)
-                for w in pool
-            }
-            for g in gs:
-                count += 1
-                x, phi = universal_factorization(z, g)
-                _check_one_factorization(
-                    rep, z, m, g, x, phi, pool, buckets, localize_morphism
-                )
+        buckets = {w: _buckets(hom(z, w), loc) for w in pool}
+        for g in gs:
+            count += 1
+            x, phi = universal_factorization(z, g)
+            _check_one_factorization(rep, z, m, g, x, phi, pool, buckets, loc)
     return count
 
 
@@ -1712,12 +1627,10 @@ def _delta_probes(m):
     """Deterministic factorization sources over an interval-flavor tuple:
     the built initial row and a variant padded by a slack base cell."""
     z0 = weak_fiber_initial(m)
-    cum = [0]
-    for r in m.ranks:
-        cum.append(cum[-1] + r)
+    cum = tuple(itertools.accumulate(m.ranks, initial=0))
     k = len(m.ranks)
     amb = standard_order(k + 1)
-    base = LinMap(amb, standard_order(cum[-1]), (0,) + tuple(cum))
+    base = LinMap(amb, standard_order(cum[-1]), (0,) + cum)
     padded = OmegaObjDelta(IntervalContext(amb, 1, k + 1), base)
     return [z0, padded]
 

@@ -35,12 +35,13 @@ def _vertex_map(x, n, i):
     ))
 
 
-def _judge_comparison(rep, check, location, src_set, values, target_set):
+def judge_bijection(rep, check, location, src_set, values, target_set):
     """Record how a candidate comparison map fails to be a bijection.
 
     values[i] is the would-be image of src_set.elements[i]; it may fall
     outside target_set when the object's identities are broken, which
-    counts as a failure rather than an error.
+    counts as a failure rather than an error.  The witness is the first
+    stray element, the first colliding pair, or the first missed target.
     """
     target = set(target_set.elements)
     seen = {}
@@ -112,7 +113,7 @@ def check_2segal(x, report=None):
         edge_m = _edge_map(x, m, 0, m)
         pb, _, _ = pullback(edge_n, edge_m)
         values = tupled_values(x.level(big), (to_n, to_m))
-        _judge_comparison(rep, "2segal-square", (n, m, j), x.level(big), values, pb)
+        judge_bijection(rep, "2segal-square", (n, m, j), x.level(big), values, pb)
     rep.note_scope(f"squares through rank {x.top_rank}")
     return rep
 
@@ -140,7 +141,7 @@ def check_unital(x, report=None):
             ))
             pb, _, _ = pullback(edge, degen_edge)
             values = tupled_values(x.level(n - 1), (s_i, vert))
-            _judge_comparison(rep, "unital-square", (n, i), x.level(n - 1), values, pb)
+            judge_bijection(rep, "unital-square", (n, i), x.level(n - 1), values, pb)
     rep.note_scope(f"degenerate blocks through rank {top}")
     return rep
 
@@ -167,7 +168,7 @@ def check_1segal(x, report=None):
         value_maps = {("e", i): _edge_map(x, n, i - 1, i) for i in range(1, n + 1)}
         value_maps.update({("v", i): _vertex_map(x, n, i) for i in range(1, n)})
         values = tupled_values(x.level(n), [value_maps[nm] for nm in names])
-        _judge_comparison(rep, "1segal-spine", (n,), x.level(n), values, obj)
+        judge_bijection(rep, "1segal-spine", (n,), x.level(n), values, obj)
     rep.note_scope(f"spines through rank {top}")
     return rep
 
@@ -258,6 +259,6 @@ def check_2segal_triangulations(x, report=None, max_rank=None):
                         lambda v, t=(a, b, c): t[v],
                     ))
             values = tupled_values(x.level(n), [value_maps[nm] for nm in names])
-            _judge_comparison(rep, "triangulation", (n, tris), x.level(n), values, obj)
+            judge_bijection(rep, "triangulation", (n, tris), x.level(n), values, obj)
     rep.note_scope(f"triangulations through rank {top}")
     return rep

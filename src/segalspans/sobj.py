@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import FinMap, FinSet, fin_map_by, identity_fin
-from .orders import CycMap, LinMap, LinOrd, rotation_map, standard_cycle, standard_order
+from .finset import FinSet, fin_map_by, identity_fin
+from .orders import LinMap, rotation_map, standard_cycle, standard_order
 from .report import Report
 
 

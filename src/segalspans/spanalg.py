@@ -32,7 +32,7 @@ from .finset import (
 from .labels import label_key
 from .orders import LinMap, all_lin_maps, lin_map_by, standard_order
 from .report import Report
-from .segal import square_instances
+from .segal import judge_bijection, square_instances
 from .sobj import apply_delta_op
 
 
@@ -242,25 +242,6 @@ class StarFunctor:
         return slotwise_map(src_v, dst_v, slot_maps)
 
 
-def _judge_bijection_pairs(rep, check, location, src_set, values, target_set):
-    target = set(target_set.elements)
-    seen = {}
-    for e, v in zip(src_set.elements, values):
-        if v not in target:
-            rep.fail(check, location, witness=e,
-                     detail="comparison image incompatible")
-            return
-        if v in seen:
-            rep.fail(check, location, witness=(seen[v], e),
-                     detail="comparison not injective")
-            return
-        seen[v] = e
-    if len(values) != len(target_set):
-        missing = next(v for v in target_set.elements if v not in seen)
-        rep.fail(check, location, witness=missing,
-                 detail=f"{len(target_set)} glued families vs {len(values)} simplices")
-
-
 def check_algebra_conditions(x, report=None, fan_triples=None):
     """Algebra conditions for the star functor of a simplicial object.
 
@@ -297,7 +278,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
         a1 = f.action(asm_big)
         a2 = f.action(outer)
         values = tupled_values(a1.src, (a1, a2))
-        _judge_bijection_pairs(rep, "reduced-square", (n, m, j), a1.src, values, pb)
+        judge_bijection(rep, "reduced-square", (n, m, j), a1.src, values, pb)
     rep.note_scope(f"reduced squares through rank {top}")
     # products: the value of a tuple is the product of its slot values
     for ranks in [(1, 1), (1, 2), (2, 1), (2, 1, 2)]:
@@ -308,7 +289,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
         projs = [f.action(projection_mor(obj, i)) for i in range(len(ranks))]
         values = tupled_values(projs[0].src, projs)
         expect = product_carrier([f.value(DeltaStarObj((r,))) for r in ranks])
-        _judge_bijection_pairs(
+        judge_bijection(
             rep, "product-cone", ranks, projs[0].src, values, expect
         )
     rep.note_scope("product cones on sample tuples")
@@ -353,7 +334,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
             "d1": edge(big, 0, a), "d2": edge(big, 0, a + b),
         }
         values = tupled_values(x.level(big), [value_maps[nm] for nm in names])
-        _judge_bijection_pairs(
+        judge_bijection(
             rep, "fan-limit", (a, b, c), x.level(big), values, obj
         )
     rep.note_scope("fan decompositions of length three")

@@ -1,6 +1,9 @@
-"""The packaging metadata points only at files and entry points that exist."""
+"""The packaging metadata points only at files and entry points that
+exist, and the package carries no code without a caller."""
 
+import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,105 @@ def test_declared_scripts_import():
         for part in filter(None, attr.split(".")):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+PACKAGE = ROOT / "src" / "segalspans"
+SEARCHED = ("src", "tests", "perfbench")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _docstring_ids(tree):
+    # a bare string statement is documentation, not a use
+    return {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+
+
+def _defined(stmt):
+    """The top-level names a module statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    return {
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    }
+
+
+def _words(node, docstrings):
+    """Every name a node mentions: identifiers, attributes, import
+    names and aliases, and the words of non-docstring string constants."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield from sub.name.split(".")
+            if sub.asname:
+                yield sub.asname
+        elif (
+            isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str)
+            and id(sub) not in docstrings
+        ):
+            yield from WORD.findall(sub.value)
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_top_level_name_has_a_user():
+    # a name used only inside its own definition (recursion, a class
+    # naming itself) counts as unused
+    defined = {}
+    used = set()
+    for folder in SEARCHED:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = _parse(path)
+            docstrings = _docstring_ids(tree)
+            for stmt in tree.body:
+                own = _defined(stmt)
+                if path.parent == PACKAGE:
+                    for name in own:
+                        defined[name] = f"{path.name}:{stmt.lineno}"
+                used.update(w for w in _words(stmt, docstrings) if w not in own)
+    unused = sorted(
+        f"{where} {name}"
+        for name, where in defined.items()
+        if name not in used and not name.startswith("__")
+    )
+    assert not unused, unused
+
+
+def test_every_relative_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        imported = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level:
+                for alias in stmt.names:
+                    imported[alias.asname or alias.name] = stmt.lineno
+        docstrings = _docstring_ids(tree)
+        seen = {
+            w
+            for stmt in tree.body
+            if not isinstance(stmt, ast.ImportFrom)
+            for w in _words(stmt, docstrings)
+        }
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in seen
+        ]
+    assert not unused, unused
