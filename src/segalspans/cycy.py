@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .finset import (
     FinMap,
@@ -39,7 +40,6 @@ from .labels import BASE, label_key
 from .orders import (
     CycMap,
     CycOrd,
-    LinMap,
     cyc_map_by,
     identity_cyc,
     standard_cycle,
@@ -47,9 +47,9 @@ from .orders import (
 )
 from .dualities import PointedMap, PointedSet
 from .report import Report
-from .sobj import CycObj, apply_delta_op, apply_lambda_op
+from .sobj import CycObj, apply_lambda_op, simplex_map
 from .segal import judge_bijection
-from .spanalg import multiplication_span
+from .spanalg import multiplication_span, unitor_spans
 
 
 @dataclass(frozen=True)
@@ -592,23 +592,6 @@ class LambdaStarFunctor:
             )
         return self._values[obj]
 
-    def _block_inclusion(self, mor, t):
-        i = mor.phi_of(t)
-        order = mor.fiber_order(i)
-        offs, size = _ordsum_layout([mor.dst.rank_of(j) for j in order])
-        off = offs[order.index(t)]
-        glued = LinMap(
-            standard_order(size - 1),
-            standard_order(mor.src.rank_of(i)),
-            mor.comp(i),
-        )
-        block = LinMap(
-            standard_order(mor.dst.rank_of(t)),
-            standard_order(size - 1),
-            tuple(range(off, off + mor.dst.rank_of(t) + 1)),
-        )
-        return i, glued.compose(block)
-
     def action(self, mor):
         src_v = self.value(mor.src)
         dst_v = self.value(mor.dst)
@@ -616,14 +599,16 @@ class LambdaStarFunctor:
             return apply_lambda_op(self.x, mor.op)
         if isinstance(mor, FamilyMor):
             slot_maps = []
-            for t in mor.dst.index:
-                i, piece = self._block_inclusion(mor, t)
-                slot_maps.append(
-                    (
-                        mor.src.slot_position(i),
-                        apply_delta_op(self.x, piece).as_dict(),
-                    )
+            for t, r in mor.dst.slots:
+                # target slot t reads its block of the glued map over slot i
+                i = mor.phi_of(t)
+                order = mor.fiber_order(i)
+                offs, _ = _ordsum_layout([mor.dst.rank_of(j) for j in order])
+                off = offs[order.index(t)]
+                piece = simplex_map(
+                    self.x, mor.src.rank_of(i), mor.comp(i)[off : off + r + 1]
                 )
+                slot_maps.append((mor.src.slot_position(i), piece.as_dict()))
             return slotwise_map(src_v, dst_v, slot_maps)
         if isinstance(mor, CycToFamilyMor):
             if len(mor.dst) == 0:
@@ -735,7 +720,6 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
     if len(fn.value(empty)) != 1:
         rep.fail("empty-product", (), detail="empty family misses the point")
     for fam in _family_universe(n_top, budget):
-        prod = fn.value(fam)
         _, projs = big_product([x.level(r) for _, r in fam.slots])
         for pos, (i, r) in enumerate(fam.slots):
             single = FamilyObj(((i, r),))
@@ -749,10 +733,11 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                     for j, rr in fam.slots
                 ),
             )
+            # the action starts at fn.value(fam), the product's own carrier,
+            # so both columns are indexed by the same elements
             act = fn.action(mor)
-            got = [act(e)[0] for e in prod.elements]
-            want = [projs[pos](e) for e in prod.elements]
-            if got != want:
+            got = [v[0] for v in act.assignment]
+            if got != list(projs[pos].assignment):
                 rep.fail("product-cone", (fam.slots, i),
                          detail="slot projection disagrees with the product")
 
@@ -918,14 +903,8 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                 )
 
     for n in range(1, n_top + 1):
-        edge = apply_delta_op(
-            x,
-            LinMap(standard_order(1), standard_order(n), (0, n)),
-        )
-        vertex = apply_delta_op(
-            x,
-            LinMap(standard_order(0), standard_order(n - 1), (n - 1,)),
-        )
+        edge = simplex_map(x, n, (0, n))
+        vertex = simplex_map(x, n - 1, (n - 1,))
         twisted = x.rot(1).compose(edge)
         pb, _, _ = pullback(twisted, x.degen(0, 0))
         twist_in = x.rot(n).compose(x.degen(n - 1, n - 1))
@@ -964,28 +943,6 @@ def trace_span(x):
 def pairing_span(x):
     """The composite of multiplication with the trace."""
     return compose_spans(multiplication_span(x), trace_span(x))
-
-
-def _unitor_spans(x1):
-    right, _, _ = product_set(x1, terminal_set())
-    left, _, _ = product_set(terminal_set(), x1)
-    into_right = Span(
-        x1, right, x1, fin_map_by(x1, x1, lambda e: e),
-        fin_map_by(x1, right, lambda e: (e, ())),
-    )
-    out_of_right = Span(
-        right, x1, right, fin_map_by(right, right, lambda e: e),
-        fin_map_by(right, x1, lambda e: e[0]),
-    )
-    into_left = Span(
-        x1, left, x1, fin_map_by(x1, x1, lambda e: e),
-        fin_map_by(x1, left, lambda e: ((), e)),
-    )
-    out_of_left = Span(
-        left, x1, left, fin_map_by(left, left, lambda e: e),
-        fin_map_by(left, x1, lambda e: e[1]),
-    )
-    return into_right, out_of_right, into_left, out_of_left
 
 
 def _assoc_span(x1, pairs, to_left):
@@ -1028,8 +985,8 @@ def check_nondegeneracy(x, report=None):
 
     legs_ok = True
     for idx in (0, 1):
-        leg = fin_map_by(
-            gamma.apex, x1, lambda e, i=idx: gamma.left_leg(e)[i]
+        leg = FinMap(
+            gamma.apex, x1, tuple(map(itemgetter(idx), gamma.left_leg.assignment))
         )
         if not leg.is_bijection():
             legs_ok = False
@@ -1037,7 +994,7 @@ def check_nondegeneracy(x, report=None):
                 rep, "pairing-leg", (idx + 1,), leg.src, leg.assignment, leg.dst
             )
 
-    into_right, out_of_right, into_left, out_of_left = _unitor_spans(x1)
+    into_right, out_of_right, into_left, out_of_left = unitor_spans(x1)
     one = identity_span(x1)
     zig1 = _chain_spans([
         into_right,

@@ -52,12 +52,19 @@ class FinSet:
         return pos[x]
 
 
-def _presorted_finset(elems):
-    # product and pullback iteration already emit canonical order over
-    # validated labels, so skip the constructor's sort and checks
-    s = object.__new__(FinSet)
-    object.__setattr__(s, "elements", tuple(elems))
-    return s
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass cls built without validation.
+
+    The one bypass of the validating constructors.  The caller promises
+    that ``fields`` equal what ``cls(...)`` would store: for a FinSet,
+    checked labels already in canonical order; for a composite, the
+    fields of parts that were validated themselves.  Equality and hashing
+    then agree with validated instances.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def terminal_set():
@@ -134,7 +141,9 @@ def terminal_map(src):
 
 def product_carrier(sets):
     """The n-ary product of finite sets with tuple labels, no projections."""
-    return _presorted_finset(itertools.product(*(s.elements for s in sets)))
+    # product iteration over canonical sets emits canonical order
+    elements = tuple(itertools.product(*(s.elements for s in sets)))
+    return trusted(FinSet, elements=elements)
 
 
 def _projection(p, i, s):
@@ -198,7 +207,7 @@ def pullback(f, g):
         for a, v in zip(f.src.elements, f.assignment)
         for b in buckets.get(v, ())
     )
-    p = _presorted_finset(pairs)
+    p = trusted(FinSet, elements=pairs)
     return p, _projection(p, 0, f.src), _projection(p, 1, g.src)
 
 
@@ -300,7 +309,7 @@ def limit(diagram):
         map(byname[n].elements.__getitem__, col)
         for n, col in zip(names, zip(*ranked))
     ))
-    obj = _presorted_finset(elems)
+    obj = trusted(FinSet, elements=tuple(elems))
     projs = {n: _projection(obj, i, byname[n]) for i, n in enumerate(names)}
     return obj, projs
 

@@ -20,6 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .finset import trusted
 from .labels import BASE, label_key
 from .orders import CycMap, CycOrd, LinMap, identity_lin, rotation_map, standard_cycle, standard_order
 from .dualities import D_on_map, IntervalContext, IntervalContextMap, PointedSet, cut, res
@@ -71,15 +72,6 @@ class LocalizeBudget:
     core_weight: int = 3
     sample_triples: int = 150
     sample_cap: int = 12
-
-
-def _bare(cls, **fields):
-    # construct a frozen dataclass without re-running validation; used
-    # for composites of already-validated squares
-    obj = object.__new__(cls)
-    for k, v in fields.items():
-        object.__setattr__(obj, k, v)
-    return obj
 
 
 # --------------------------------------------------------------------------
@@ -139,7 +131,7 @@ class OmegaMorDelta:
         """
         if other.dst != self.src:
             raise ValueError("middle rows disagree")
-        return _bare(
+        return trusted(
             OmegaMorDelta,
             src=other.src,
             dst=self.dst,
@@ -233,7 +225,7 @@ class OmegaMorLambda:
         """self after other; validation is skipped as for the interval flavor."""
         if other.dst != self.src:
             raise ValueError("middle rows disagree")
-        return _bare(
+        return trusted(
             OmegaMorLambda,
             src=other.src,
             dst=self.dst,

@@ -158,11 +158,6 @@ def identity_lin(order):
     return LinMap(order, order, order.elements)
 
 
-def lin_map_by(src, dst, fn):
-    """Build a LinMap from a callable."""
-    return LinMap(src, dst, tuple(fn(x) for x in src.elements))
-
-
 def all_lin_maps(src, dst):
     """Every order-preserving map src -> dst."""
     for pos in itertools.combinations_with_replacement(range(len(dst)), len(src)):
@@ -489,23 +484,21 @@ def rotation_map(base, k=1):
 
 
 def all_cyc_maps(src, dst):
-    """Every cyclic map src -> dst (assignment plus fiber orders)."""
-    seen = set()
+    """Every cyclic map src -> dst (assignment plus fiber orders).
+
+    Reading the fibers around dst, from its least label, walks src once
+    from some start; cutting that walk into len(dst) consecutive blocks
+    gives the fibers.  Each (start, cut) is one map, and every map
+    arises from exactly one, so nothing is filtered or repeated.
+    """
     n = len(src)
-    for values in itertools.product(dst.cycle, repeat=n):
-        assign = dict(zip(src.cycle, values))
-        for start in range(n):
-            walk = src.cycle[start:] + src.cycle[:start]
+    for start in range(n):
+        walk = src.cycle[start:] + src.cycle[:start]
+        for cut in itertools.combinations_with_replacement(range(len(dst)), n):
             fibers = {d: [] for d in dst.cycle}
-            for x in walk:
-                fibers[assign[x]].append(x)
-            try:
-                m = CycMap(src, dst, tuple((d, tuple(f)) for d, f in fibers.items()))
-            except ValueError:
-                continue
-            if m not in seen:
-                seen.add(m)
-                yield m
+            for x, p in zip(walk, cut):
+                fibers[dst.cycle[p]].append(x)
+            yield CycMap(src, dst, tuple((d, tuple(f)) for d, f in fibers.items()))
 
 
 def cyclic_mismatch(c1, c2):

@@ -10,29 +10,8 @@ from __future__ import annotations
 
 from .finset import FinDiagram, limit, pullback, tupled_values
 from .labels import label_key
-from .orders import lin_map_by, standard_order
 from .report import Report
-from .sobj import apply_delta_op
-
-
-def _segment_map(n_big, lo, hi):
-    """The inclusion [hi-lo] -> [n_big] onto the segment lo..hi."""
-    return lin_map_by(
-        standard_order(hi - lo), standard_order(n_big), lambda v: v + lo
-    )
-
-
-def _edge_map(x, n, i, j):
-    """The structure map X_n -> X_1 for the edge i..j of the n-simplex."""
-    return apply_delta_op(x, lin_map_by(
-        standard_order(1), standard_order(n), lambda v: i if v == 0 else j
-    ))
-
-
-def _vertex_map(x, n, i):
-    return apply_delta_op(x, lin_map_by(
-        standard_order(0), standard_order(n), lambda v: i
-    ))
+from .sobj import simplex_map
 
 
 def judge_bijection(rep, check, location, src_set, values, target_set):
@@ -101,16 +80,10 @@ def check_2segal(x, report=None):
     rep = report if report is not None else Report("2segal-squares")
     for n, m, j in square_instances(x.top_rank):
         big = n + m - 1
-        outer = lin_map_by(
-            standard_order(n),
-            standard_order(big),
-            lambda p, j=j, m=m: p if p < j else p + m - 1,
-        )
-        inner = _segment_map(big, j - 1, j - 1 + m)
-        to_n = apply_delta_op(x, outer)
-        to_m = apply_delta_op(x, inner)
-        edge_n = _edge_map(x, n, j - 1, j)
-        edge_m = _edge_map(x, m, 0, m)
+        to_n = simplex_map(x, big, (p if p < j else p + m - 1 for p in range(n + 1)))
+        to_m = simplex_map(x, big, range(j - 1, j + m))
+        edge_n = simplex_map(x, n, (j - 1, j))
+        edge_m = simplex_map(x, m, (0, m))
         pb, _, _ = pullback(edge_n, edge_m)
         values = tupled_values(x.level(big), (to_n, to_m))
         judge_bijection(rep, "2segal-square", (n, m, j), x.level(big), values, pb)
@@ -126,19 +99,13 @@ def check_unital(x, report=None):
     """
     rep = report if report is not None else Report("unital")
     top = x.top_rank
+    degen_edge = simplex_map(x, 0, (0, 0))
     for n in range(1, top + 1):
         for i in range(n):
-            collapse = lin_map_by(
-                standard_order(n),
-                standard_order(n - 1),
-                lambda v, i=i: v if v <= i else v - 1,
-            )
-            s_i = apply_delta_op(x, collapse)
-            vert = _vertex_map(x, n - 1, i)
-            edge = _edge_map(x, n, i, i + 1)
-            degen_edge = apply_delta_op(x, lin_map_by(
-                standard_order(1), standard_order(0), lambda v: 0
-            ))
+            # the collapse [n] -> [n-1] that merges vertices i and i+1
+            s_i = simplex_map(x, n - 1, (*range(i + 1), *range(i, n)))
+            vert = simplex_map(x, n - 1, (i,))
+            edge = simplex_map(x, n, (i, i + 1))
             pb, _, _ = pullback(edge, degen_edge)
             values = tupled_values(x.level(n - 1), (s_i, vert))
             judge_bijection(rep, "unital-square", (n, i), x.level(n - 1), values, pb)
@@ -150,12 +117,8 @@ def check_1segal(x, report=None):
     """The spine condition: X_n must biject with chains of n edges."""
     rep = report if report is not None else Report("1segal")
     top = x.top_rank
-    head = apply_delta_op(x, lin_map_by(
-        standard_order(0), standard_order(1), lambda v: 1
-    ))
-    tail = apply_delta_op(x, lin_map_by(
-        standard_order(0), standard_order(1), lambda v: 0
-    ))
+    head = simplex_map(x, 1, (1,))
+    tail = simplex_map(x, 1, (0,))
     for n in range(2, top + 1):
         nodes = [(("e", i), x.level(1)) for i in range(1, n + 1)]
         nodes += [(("v", i), x.level(0)) for i in range(1, n)]
@@ -165,8 +128,8 @@ def check_1segal(x, report=None):
             arrows.append((("e", i + 1), ("v", i), tail))
         obj, _ = limit(FinDiagram(tuple(nodes), tuple(arrows)))
         names = sorted(dict(nodes), key=label_key)
-        value_maps = {("e", i): _edge_map(x, n, i - 1, i) for i in range(1, n + 1)}
-        value_maps.update({("v", i): _vertex_map(x, n, i) for i in range(1, n)})
+        value_maps = {("e", i): simplex_map(x, n, (i - 1, i)) for i in range(1, n + 1)}
+        value_maps.update({("v", i): simplex_map(x, n, (i,)) for i in range(1, n)})
         values = tupled_values(x.level(n), [value_maps[nm] for nm in names])
         judge_bijection(rep, "1segal-spine", (n,), x.level(n), values, obj)
     rep.note_scope(f"spines through rank {top}")
@@ -198,34 +161,27 @@ def triangulation_diagram(x, n, tris):
     """The diagram of simplices of a triangulated (n+1)-gon.
 
     Nodes: polygon vertices, all edges appearing in some triangle, and
-    the triangles; arrows restrict along face inclusions.
+    the triangles, each named by its kind and its vertex list; arrows
+    restrict along face inclusions.
     """
     nodes = []
     arrows = []
     edges = set()
     for (a, b, c) in tris:
         edges.update({(a, b), (b, c), (a, c)})
-    lo = apply_delta_op(x, lin_map_by(
-        standard_order(0), standard_order(1), lambda v: 0
-    ))
-    hi = apply_delta_op(x, lin_map_by(
-        standard_order(0), standard_order(1), lambda v: 1
-    ))
+    lo = simplex_map(x, 1, (0,))
+    hi = simplex_map(x, 1, (1,))
+    faces = {verts: simplex_map(x, 2, verts) for verts in ((0, 1), (0, 2), (1, 2))}
     for v in range(n + 1):
         nodes.append((("v", v), x.level(0)))
     for (a, b) in sorted(edges):
         nodes.append((("e", a, b), x.level(1)))
         arrows.append((("e", a, b), ("v", a), lo))
         arrows.append((("e", a, b), ("v", b), hi))
-    for (a, b, c) in tris:
-        nodes.append((("t", a, b, c), x.level(2)))
-        for (i, j), drop in (((a, b), 2), ((a, c), 1), ((b, c), 0)):
-            face = apply_delta_op(x, lin_map_by(
-                standard_order(1),
-                standard_order(2),
-                lambda v, drop=drop: [p for p in range(3) if p != drop][v],
-            ))
-            arrows.append((("t", a, b, c), ("e", i, j), face))
+    for tri in tris:
+        nodes.append((("t", *tri), x.level(2)))
+        for (i, j), face in faces.items():
+            arrows.append((("t", *tri), ("e", tri[i], tri[j]), face))
     return FinDiagram(tuple(nodes), tuple(arrows))
 
 
@@ -245,20 +201,10 @@ def check_2segal_triangulations(x, report=None, max_rank=None):
             diag = triangulation_diagram(x, n, tris)
             obj, _ = limit(diag)
             names = sorted(dict(diag.nodes), key=label_key)
-            value_maps = {}
-            for nm in names:
-                if nm[0] == "v":
-                    value_maps[nm] = _vertex_map(x, n, nm[1])
-                elif nm[0] == "e":
-                    value_maps[nm] = _edge_map(x, n, nm[1], nm[2])
-                else:
-                    _, a, b, c = nm
-                    value_maps[nm] = apply_delta_op(x, lin_map_by(
-                        standard_order(2),
-                        standard_order(n),
-                        lambda v, t=(a, b, c): t[v],
-                    ))
-            values = tupled_values(x.level(n), [value_maps[nm] for nm in names])
+            # a node (kind, *vertices) takes the face on its vertices
+            values = tupled_values(
+                x.level(n), [simplex_map(x, n, nm[1:]) for nm in names]
+            )
             judge_bijection(rep, "triangulation", (n, tris), x.level(n), values, obj)
     rep.note_scope(f"triangulations through rank {top}")
     return rep

@@ -233,6 +233,18 @@ def apply_delta_op(x, phi):
     return out
 
 
+def simplex_map(x, n, verts):
+    """The structure map X_n -> X_k of the monotone [k] -> [n], i -> verts[i].
+
+    Faces of the n-simplex are named by their vertex lists: (i, j) is the
+    edge i..j, (i,) the vertex i, and a repeated vertex a degeneracy.
+    """
+    verts = tuple(verts)
+    return apply_delta_op(
+        x, LinMap(standard_order(len(verts) - 1), standard_order(n), verts)
+    )
+
+
 def apply_lambda_op(x, f):
     """The structure map induced by a map of standard cyclic orders.
 

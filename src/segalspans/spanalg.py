@@ -14,13 +14,17 @@ import itertools
 from dataclasses import dataclass
 
 from .finset import (
+    FinDiagram,
+    FinMap,
     Span,
     compose_spans,
     fin_map_by,
     identity_span,
+    limit,
     product_carrier,
     product_set,
     pullback,
+    reverse_span,
     slotwise_map,
     span_from_maps,
     spans_isomorphic,
@@ -30,10 +34,10 @@ from .finset import (
     tupled_values,
 )
 from .labels import label_key
-from .orders import LinMap, all_lin_maps, lin_map_by, standard_order
+from .orders import all_lin_maps, standard_order
 from .report import Report
 from .segal import judge_bijection, square_instances
-from .sobj import apply_delta_op
+from .sobj import simplex_map
 
 
 @dataclass(frozen=True)
@@ -223,22 +227,11 @@ class StarFunctor:
         src_v = self.value(mor.src)
         dst_v = self.value(mor.dst)
         slot_maps = []
-        for t in range(len(mor.dst)):
-            i = mor.phi[t]
-            glued = LinMap(
-                standard_order(mor.glued_rank(i)),
-                standard_order(mor.src.ranks[i]),
-                mor.comp(i),
-            )
-            off = mor.block_offset(t)
-            block = lin_map_by(
-                standard_order(mor.dst.ranks[t]),
-                standard_order(mor.glued_rank(i)),
-                lambda v, off=off: v + off,
-            )
-            slot_maps.append(
-                (i, apply_delta_op(self.x, glued.compose(block)).as_dict())
-            )
+        for t, r in enumerate(mor.dst.ranks):
+            # target slot t reads its block of the glued map over slot i
+            i, off = mor.phi[t], mor.block_offset(t)
+            piece = simplex_map(self.x, mor.src.ranks[i], mor.comp(i)[off : off + r + 1])
+            slot_maps.append((i, piece.as_dict()))
         return slotwise_map(src_v, dst_v, slot_maps)
 
 
@@ -295,43 +288,29 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
     rep.note_scope("product cones on sample tuples")
     if fan_triples is None:
         fan_triples = [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
-    from .finset import FinDiagram, limit
-
     for (a, b, c) in fan_triples:
         big = a + b + c
         if big > top:
             continue
-        cell1 = apply_delta_op(x, lin_map_by(
-            standard_order(a), standard_order(big), lambda v: v
-        ))
-        cell2 = apply_delta_op(x, lin_map_by(
-            standard_order(b + 1), standard_order(big),
-            lambda v, a=a: 0 if v == 0 else a + v - 1,
-        ))
-        cell3 = apply_delta_op(x, lin_map_by(
-            standard_order(c + 1), standard_order(big),
-            lambda v, ab=a + b: 0 if v == 0 else ab + v - 1,
-        ))
-        def edge(n_src, i, j):
-            return apply_delta_op(x, lin_map_by(
-                standard_order(1), standard_order(n_src),
-                lambda v, i=i, j=j: i if v == 0 else j,
-            ))
         nodes = (
             ("c1", x.level(a)), ("c2", x.level(b + 1)), ("c3", x.level(c + 1)),
             ("d1", x.level(1)), ("d2", x.level(1)),
         )
         arrows = (
-            ("c1", "d1", edge(a, 0, a)),
-            ("c2", "d1", edge(b + 1, 0, 1)),
-            ("c2", "d2", edge(b + 1, 0, b + 1)),
-            ("c3", "d2", edge(c + 1, 0, 1)),
+            ("c1", "d1", simplex_map(x, a, (0, a))),
+            ("c2", "d1", simplex_map(x, b + 1, (0, 1))),
+            ("c2", "d2", simplex_map(x, b + 1, (0, b + 1))),
+            ("c3", "d2", simplex_map(x, c + 1, (0, 1))),
         )
         obj, _ = limit(FinDiagram(nodes, arrows))
         names = sorted([n for n, _ in nodes], key=label_key)
+        # the three cells of the fan at vertex 0 and its two inner diagonals
         value_maps = {
-            "c1": cell1, "c2": cell2, "c3": cell3,
-            "d1": edge(big, 0, a), "d2": edge(big, 0, a + b),
+            "c1": simplex_map(x, big, range(a + 1)),
+            "c2": simplex_map(x, big, (0, *range(a, a + b + 1))),
+            "c3": simplex_map(x, big, (0, *range(a + b, big + 1))),
+            "d1": simplex_map(x, big, (0, a)),
+            "d2": simplex_map(x, big, (0, a + b)),
         }
         values = tupled_values(x.level(big), [value_maps[nm] for nm in names])
         judge_bijection(
@@ -344,10 +323,8 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
 def multiplication_span(x):
     """X1 x X1 <- X2 -> X1 with outer faces left and the inner face right."""
     x2 = x.level(2)
-    left_obj, _, _ = product_set(x.level(1), x.level(1))
-    left = fin_map_by(
-        x2, left_obj, lambda e: (x.face(2, 2)(e), x.face(2, 0)(e))
-    )
+    left_obj = product_carrier((x.level(1), x.level(1)))
+    left = FinMap(x2, left_obj, tupled_values(x2, (x.face(2, 2), x.face(2, 0))))
     return Span(left_obj, x.level(1), x2, left, x.face(2, 1))
 
 
@@ -358,22 +335,40 @@ def unit_span(x):
 
 def _threefold_span(x, nest_left):
     """X1^3 <- X3 -> X1, the left object nested to match a tensor order."""
-    x3 = x.level(3)
-
-    def edge(i, j):
-        return apply_delta_op(x, lin_map_by(
-            standard_order(1), standard_order(3),
-            lambda v, i=i, j=j: i if v == 0 else j,
-        ))
-
-    e01, e12, e23 = edge(0, 1), edge(1, 2), edge(2, 3)
+    x1, x3 = x.level(1), x.level(3)
+    pairs = product_carrier((x1, x1))
+    e01, e12, e23 = (simplex_map(x, 3, (i, i + 1)).assignment for i in range(3))
     if nest_left:
-        lo, _, _ = product_set(product_set(x.level(1), x.level(1))[0], x.level(1))
-        left = fin_map_by(x3, lo, lambda e: ((e01(e), e12(e)), e23(e)))
+        lo, rows = product_carrier((pairs, x1)), zip(zip(e01, e12), e23)
     else:
-        lo, _, _ = product_set(x.level(1), product_set(x.level(1), x.level(1))[0])
-        left = fin_map_by(x3, lo, lambda e: (e01(e), (e12(e), e23(e))))
-    return Span(lo, x.level(1), x3, left, edge(0, 3))
+        lo, rows = product_carrier((x1, pairs)), zip(e01, zip(e12, e23))
+    return Span(lo, x1, x3, FinMap(x3, lo, rows), simplex_map(x, 3, (0, 3)))
+
+
+def unitor_spans(x1):
+    """The unitor spans X1 -> X1 x 1, back, X1 -> 1 x X1 and back.
+
+    Returned as (into_right, out_of_right, into_left, out_of_left).
+    """
+    right, _, _ = product_set(x1, terminal_set())
+    left, _, _ = product_set(terminal_set(), x1)
+    into_right = Span(
+        x1, right, x1, fin_map_by(x1, x1, lambda e: e),
+        fin_map_by(x1, right, lambda e: (e, ())),
+    )
+    out_of_right = Span(
+        right, x1, right, fin_map_by(right, right, lambda e: e),
+        fin_map_by(right, x1, lambda e: e[0]),
+    )
+    into_left = Span(
+        x1, left, x1, fin_map_by(x1, x1, lambda e: e),
+        fin_map_by(x1, left, lambda e: ((), e)),
+    )
+    out_of_left = Span(
+        left, x1, left, fin_map_by(left, left, lambda e: e),
+        fin_map_by(left, x1, lambda e: e[1]),
+    )
+    return into_right, out_of_right, into_left, out_of_left
 
 
 def check_associativity(x, report=None):
@@ -393,24 +388,12 @@ def check_associativity(x, report=None):
         rep.fail("assoc-left", (), detail="(ab)c does not match the threefold span")
     if not spans_isomorphic(right_first, _threefold_span(x, False)):
         rep.fail("assoc-right", (), detail="a(bc) does not match the threefold span")
+    into_right, _, into_left, _ = unitor_spans(x.level(1))
     lu = compose_spans(tensor_spans(unit_span(x), one), mu)
-    x1 = x.level(1)
-    lo, _, _ = product_set(terminal_set(), x1)
-    left_unitor = Span(
-        lo, x1, x1,
-        fin_map_by(x1, lo, lambda e: ((), e)),
-        fin_map_by(x1, x1, lambda e: e),
-    )
-    if not spans_isomorphic(lu, left_unitor):
+    if not spans_isomorphic(lu, reverse_span(into_left)):
         rep.fail("unit-left", (), detail="left unit law fails")
     ru = compose_spans(tensor_spans(one, unit_span(x)), mu)
-    ro, _, _ = product_set(x1, terminal_set())
-    right_unitor = Span(
-        ro, x1, x1,
-        fin_map_by(x1, ro, lambda e: (e, ())),
-        fin_map_by(x1, x1, lambda e: e),
-    )
-    if not spans_isomorphic(ru, right_unitor):
+    if not spans_isomorphic(ru, reverse_span(into_right)):
         rep.fail("unit-right", (), detail="right unit law fails")
     rep.note_scope("threefold span comparison and both unit laws")
     return rep

@@ -234,6 +234,38 @@ def test_cycmap_counts_match_cyclic_category():
             assert got == (n + 1) * comb(n + m + 1, n + 1)
 
 
+def _filtered_cyc_maps(src, dst):
+    """Reference enumerator: try every assignment and every start, keep
+    the valid maps as a set."""
+    found = set()
+    n = len(src)
+    for values in itertools.product(dst.cycle, repeat=n):
+        assign = dict(zip(src.cycle, values))
+        for start in range(n):
+            fibers = {d: [] for d in dst.cycle}
+            for x in src.cycle[start:] + src.cycle[:start]:
+                fibers[assign[x]].append(x)
+            try:
+                m = CycMap(src, dst, tuple((d, tuple(f)) for d, f in fibers.items()))
+            except ValueError:
+                continue
+            found.add(m)
+    return found
+
+
+def test_all_cyc_maps_matches_filtered_reference():
+    # a glued block cycle: a rank-1 block "a", then a rank-0 block "b"
+    glued = CycOrd((("a", 0), ("a", 1), ("b", 0)))
+    pairs = [
+        (standard_cycle(n), standard_cycle(m)) for n in range(4) for m in range(4)
+    ]
+    pairs += [(glued, standard_cycle(2)), (standard_cycle(2), glued), (glued, glued)]
+    for src, dst in pairs:
+        got = list(all_cyc_maps(src, dst))
+        assert len(set(got)) == len(got), (src, dst)
+        assert set(got) == _filtered_cyc_maps(src, dst), (src, dst)
+
+
 def test_cycmap_identity_and_rotations():
     c = standard_cycle(3)
     ident = identity_cyc(c)

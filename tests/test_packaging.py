@@ -3,7 +3,9 @@ exist, and the package carries no code without a caller."""
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +137,19 @@ def test_every_relative_import_is_used():
             if name not in seen
         ]
     assert not unused, unused
+
+
+def test_benchmark_tracer_finds_every_target(monkeypatch):
+    # the benchmark's tracer wraps named functions of the package and
+    # raises LookupError on entry when one was renamed or deleted
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"segalspans.{path.stem}")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclasses
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer():
+        pass

@@ -18,7 +18,7 @@ from segalspans.segal import (
     triangulations,
 )
 from segalspans.orders import all_lin_maps, standard_order
-from segalspans.sobj import SimpObj, apply_delta_op, relabel, truncate
+from segalspans.sobj import SimpObj, apply_delta_op, relabel, simplex_map, truncate
 from segalspans.spanalg import check_algebra_conditions
 
 Z2 = cyclic_group_table(2)
@@ -247,7 +247,8 @@ def test_corrupted_face_findings_are_pinned(x, pinned):
 
 def test_structure_maps_start_at_the_source_level():
     # the checkers read comparison values as columns of assignments,
-    # which lines them up with x.level(b).elements
+    # which lines them up with x.level(b).elements; they name each map
+    # by the vertex list of its monotone map
     x = nerve_of_monoid(Z3, 4)
     for a in range(4):
         for b in range(4):
@@ -255,3 +256,4 @@ def test_structure_maps_start_at_the_source_level():
                 m = apply_delta_op(x, phi)
                 assert m.src == x.level(b)
                 assert m.dst == x.level(a)
+                assert simplex_map(x, b, phi.images) == m

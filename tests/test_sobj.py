@@ -19,7 +19,6 @@ from segalspans.orders import (
     LinMap,
     all_cyc_maps,
     all_lin_maps,
-    lin_map_by,
     rotation_map,
     standard_cycle,
     standard_order,
@@ -30,6 +29,7 @@ from segalspans.sobj import (
     apply_delta_op,
     apply_lambda_op,
     relabel,
+    simplex_map,
     truncate,
     validate,
 )
@@ -113,20 +113,18 @@ def test_apply_delta_op_single_cofaces_and_codegens():
     x = nerve_of_monoid(Z2, 3)
     for n in range(1, 4):
         for i in range(n + 1):
-            coface = lin_map_by(
-                standard_order(n - 1),
-                standard_order(n),
-                lambda v, i=i: v if v < i else v + 1,
-            )
+            # the vertex list of the coface skipping i
+            verts = tuple(v for v in range(n + 1) if v != i)
+            coface = LinMap(standard_order(n - 1), standard_order(n), verts)
             assert apply_delta_op(x, coface).assignment == x.face(n, i).assignment
+            assert simplex_map(x, n, verts) == x.face(n, i)
     for n in range(3):
         for i in range(n + 1):
-            codegen = lin_map_by(
-                standard_order(n + 1),
-                standard_order(n),
-                lambda v, i=i: v if v <= i else v - 1,
-            )
+            # the vertex list of the codegeneracy hitting i twice
+            verts = (*range(i + 1), *range(i, n + 1))
+            codegen = LinMap(standard_order(n + 1), standard_order(n), verts)
             assert apply_delta_op(x, codegen).assignment == x.degen(n, i).assignment
+            assert simplex_map(x, n, verts) == x.degen(n, i)
 
 
 def test_apply_delta_op_composition_exhaustive_small():
@@ -144,7 +142,7 @@ def test_apply_delta_op_composition_exhaustive_small():
 def test_apply_delta_op_truncation_error():
     x = nerve_of_monoid(Z2, 3)
     with pytest.raises(ValueError, match="insufficient truncation"):
-        apply_delta_op(x, lin_map_by(standard_order(4), standard_order(1), lambda v: 0))
+        apply_delta_op(x, LinMap(standard_order(4), standard_order(1), (0,) * 5))
 
 
 def test_rotation_generator_recovers_tau():
@@ -158,10 +156,10 @@ def test_cyclic_closure_of_coface_recovers_face():
     c = cyclic_nerve_of_group(Z2, 3)
     for n in range(1, 4):
         for i in range(n + 1):
-            coface = lin_map_by(
+            coface = LinMap(
                 standard_order(n - 1),
                 standard_order(n),
-                lambda v, i=i: v if v < i else v + 1,
+                tuple(v for v in range(n + 1) if v != i),
             )
             got = apply_lambda_op(c, cyclic_closure_map(coface))
             assert got.assignment == c.face(n, i).assignment
@@ -169,7 +167,7 @@ def test_cyclic_closure_of_coface_recovers_face():
 
 def test_twisted_long_coface_gives_last_face():
     c = cyclic_nerve_of_group(Z2, 2)
-    delta0 = lin_map_by(standard_order(1), standard_order(2), lambda v: v + 1)
+    delta0 = LinMap(standard_order(1), standard_order(2), (1, 2))
     op = rotation_map(standard_cycle(2), -1).compose(cyclic_closure_map(delta0))
     assert apply_lambda_op(c, op).assignment == c.face(2, 2).assignment
 
