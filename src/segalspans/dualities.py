@@ -10,11 +10,14 @@ and the two constructions are inverse on positions.
 Closing a linear order into a cycle commutes with these dualities up to
 a canonical witness; that witness is what transports the gap duality to
 cyclic orders, where the formula for maps is otherwise underdetermined.
+``D_on_map`` computes that transported dual directly on positions; the
+closure witnesses (``O_on_map``, ``interval_closure_map``,
+``closure_square_witness``) stay as the reference construction that the
+tests compare it against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .labels import BASE, BOTTOM, label_key
@@ -186,24 +189,39 @@ def cyclic_dual(base):
 def D_on_map(f, start=None):
     """Contravariant dual of a cyclic map on cyclic gap orders.
 
-    Computed by linearizing the target at ``start`` (default: canonical
-    start), dualizing the induced monotone map on outer gaps, gluing
-    endpoints, and conjugating by the closure witnesses.  The result is
-    independent of ``start``.
+    Linearize the target at ``start`` (default: canonical start) as
+    t_0 < ... < t_m and read the source fibers along it as
+    s_0 < ... < s_n, with the positions of their images.  Take the outer
+    gap dual ``sk_outer_dual`` of those positions, [m+1] -> [n+1], and
+    bucket the gaps j <= m by their value, keeping j ascending; gap 0,
+    below the bottom, is relabelled to the top t_m, and gap j >= 1 to
+    t_{j-1}, the element it follows.  The fiber over s_k for k < n is
+    bucket k+1; the fiber over s_n is bucket n+1 followed by bucket 0,
+    since gluing the outer gaps wraps the top bucket onto the bottom.
+    This is the position form of dualizing the induced monotone map on
+    outer gaps, gluing endpoints and conjugating by the closure
+    witnesses.  The result is independent of ``start``.
     """
-    src, dst = f.src, f.dst
+    dst = f.dst
     if start is None:
         start = dst.cycle[0]
-    lt = dst.linear_from(start)
-    seq = tuple(itertools.chain.from_iterable(f.fiber(t) for t in lt.elements))
-    ls = LinOrd(seq)
-    assign = f.assignment
-    f_lin = LinMap(ls, lt, tuple(assign[x] for x in seq))
-    g = O_on_map(f_lin)
-    cg = interval_closure_map(g)
-    w_t = closure_square_witness(lt)
-    w_s = closure_square_witness(ls)
-    return w_s.compose(cg.compose(w_t.inverse()))
+    i = dst.cycle.index(start)
+    t = dst.cycle[i:] + dst.cycle[:i]
+    if BOTTOM in f.src.carrier or BOTTOM in dst.carrier:
+        raise ValueError("order already carries the outer gap sentinel")
+    fib = dict(f.fibers)
+    seq, images = [], []
+    for k, y in enumerate(t):
+        seq += fib[y]
+        images += [k] * len(fib[y])
+    n, m = len(seq) - 1, len(t) - 1
+    dual = sk_outer_dual(images, n, m)
+    buckets = [[] for _ in range(n + 2)]
+    for j, gap in enumerate((t[m],) + t[:m]):
+        buckets[dual[j]].append(gap)
+    fibers = [(seq[k], tuple(buckets[k + 1])) for k in range(n)]
+    fibers.append((seq[n], tuple(buckets[n + 1] + buckets[0])))
+    return CycMap(dst, f.src, tuple(fibers))
 
 
 def double_dual_witness(base):

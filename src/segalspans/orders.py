@@ -271,7 +271,13 @@ def imbrication_map(f, g):
 
 @dataclass(frozen=True)
 class CycOrd:
-    """A nonempty cyclic order, stored from its least label onward."""
+    """A nonempty cyclic order, stored from its least label onward.
+
+    Two per-instance caches sit outside the dataclass fields, so equality
+    and hashing see only ``cycle``: ``_carrier``, the frozenset of labels,
+    filled by the constructor, and ``_by_key``, the labels sorted by
+    ``label_key``, filled on first use.
+    """
 
     cycle: tuple
 
@@ -279,16 +285,26 @@ class CycOrd:
         cyc = tuple(self.cycle)
         if not cyc:
             raise ValueError("cyclic orders are nonempty")
-        for x in cyc:
-            check_label(x)
-        if len(set(cyc)) != len(cyc):
+        # one key per label both checks it and picks the canonical start
+        keys = [label_key(x) for x in cyc]
+        carrier = frozenset(cyc)
+        if len(carrier) != len(cyc):
             raise ValueError(f"repeated label in cyclic order: {cyc!r}")
-        start = min(range(len(cyc)), key=lambda i: label_key(cyc[i]))
+        start = keys.index(min(keys))
         object.__setattr__(self, "cycle", cyc[start:] + cyc[:start])
+        object.__setattr__(self, "_carrier", carrier)
 
     @property
     def carrier(self):
-        return frozenset(self.cycle)
+        return self._carrier
+
+    def _label_order(self):
+        # lazy cache; not a dataclass field, so equality is untouched
+        order = self.__dict__.get("_by_key")
+        if order is None:
+            order = tuple(sorted(self.cycle, key=label_key))
+            object.__setattr__(self, "_by_key", order)
+        return order
 
     @property
     def skeletal_rank(self):
@@ -393,15 +409,22 @@ class CycMap:
         fib = {d: tuple(f) for d, f in self.fibers}
         if len(fib) != len(self.fibers):
             raise ValueError("duplicate fiber key")
-        if set(fib) != self.dst.carrier:
+        if fib.keys() != self.dst.carrier:
             raise ValueError("fibers must be indexed by the whole target")
-        seen = list(itertools.chain.from_iterable(fib[d] for d in self.dst.cycle))
-        if sorted(seen, key=label_key) != sorted(self.src.cycle, key=label_key):
+        seen = tuple(itertools.chain.from_iterable(fib[d] for d in self.dst.cycle))
+        for x in seen:
+            label_key(x)
+        # src.cycle has no repeats, so equal length and equal sets make
+        # seen a permutation of it
+        src = self.src.cycle
+        if len(seen) != len(src) or set(seen) != self.src.carrier:
             raise ValueError("fibers do not partition the source")
-        if CycOrd(tuple(seen)) != self.src:
+        i = seen.index(src[0])
+        if seen[i:] + seen[:i] != src:
             raise ValueError("fiber orders do not induce the source cycle")
-        canon = tuple(sorted(((d, tuple(f)) for d, f in fib.items()),
-                             key=lambda df: label_key(df[0])))
+        for d in fib:
+            label_key(d)
+        canon = tuple((d, fib[d]) for d in self.dst._label_order())
         object.__setattr__(self, "fibers", canon)
 
     def __call__(self, x):

@@ -28,6 +28,7 @@ from segalspans.dualities import (
     sk_outer_dual,
 )
 from segalspans.orders import (
+    CycOrd,
     IntervalMap,
     LinMap,
     LinOrd,
@@ -230,6 +231,39 @@ def identity_cyc_like(c):
     from segalspans.orders import identity_cyc
 
     return identity_cyc(c)
+
+
+def _closure_witness_dual(f, start):
+    # the documented construction: linearize the target at start, dualize
+    # the induced monotone map on outer gaps, glue endpoints, and conjugate
+    # by the closure witnesses
+    lt = f.dst.linear_from(start)
+    seq = tuple(itertools.chain.from_iterable(f.fiber(t) for t in lt.elements))
+    ls = LinOrd(seq)
+    assign = f.assignment
+    f_lin = LinMap(ls, lt, tuple(assign[x] for x in seq))
+    return closure_square_witness(ls).compose(
+        interval_closure_map(O_on_map(f_lin)).compose(
+            closure_square_witness(lt).inverse()
+        )
+    )
+
+
+def test_cyclic_dual_matches_closure_witness_construction():
+    cycles = [standard_cycle(n) for n in range(4)]
+    mixed = [CycOrd(("b", ("a", 1), "c")), CycOrd((("x",), "y", 3, ("z", (2,))))]
+    pairs = list(itertools.product(cycles, repeat=2))
+    pairs += list(itertools.product(mixed, repeat=2))
+    checked = 0
+    for src, dst in pairs:
+        for f in all_cyc_maps(src, dst):
+            for start in dst.cycle:
+                got = D_on_map(f, start=start)
+                want = _closure_witness_dual(f, start)
+                assert got == want
+                assert got.fibers == want.fibers
+                checked += 1
+    assert checked == 1301 + 1070
 
 
 def test_cyclic_dual_lift_independent():

@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from segalspans.labels import label_key
+from segalspans.dualities import D_on_map
+from segalspans.labels import BOTTOM, label_key
 from segalspans.orders import (
     CompatLinOrder,
     CycMap,
@@ -225,6 +226,81 @@ def test_cycmap_validation():
     # element listed twice
     with pytest.raises(ValueError):
         CycMap(c2, c1, ((0, (0, 1)), (1, (1,))))
+
+
+def _c3_to_c2(fibers, src=(0, 1, 2), dst=(0, 1)):
+    return CycMap(CycOrd(src), CycOrd(dst), fibers)
+
+
+# (case, constructor call, exception type, exact message)
+MALFORMED_CYCLIC = [
+    ("empty cycle", lambda: CycOrd(()), ValueError, "cyclic orders are nonempty"),
+    ("repeated label", lambda: CycOrd((0, 1, 0)), ValueError,
+     "repeated label in cyclic order: (0, 1, 0)"),
+    ("bool label", lambda: CycOrd((0, True)), TypeError, "bool labels are not supported"),
+    ("nested bool label", lambda: CycOrd((0, (True,))), TypeError,
+     "bool labels are not supported"),
+    ("bool fiber key", lambda: _c3_to_c2(((0, (0,)), (True, (1, 2)))), TypeError,
+     "bool labels are not supported"),
+    ("nested bool fiber key",
+     lambda: _c3_to_c2(((0, (0,)), ((True,), (1, 2))), dst=(0, (1,))), TypeError,
+     "bool labels are not supported"),
+    ("bool fiber element", lambda: _c3_to_c2(((0, (0, True)), (1, (2,)))), TypeError,
+     "bool labels are not supported"),
+    ("nested bool fiber element",
+     lambda: _c3_to_c2(((0, (0, (True,))), (1, (2,))), src=(0, (1,), 2)), TypeError,
+     "bool labels are not supported"),
+    ("duplicate fiber key", lambda: _c3_to_c2(((0, (0,)), (0, (1,)), (1, (2,)))),
+     ValueError, "duplicate fiber key"),
+    ("missing target key", lambda: _c3_to_c2(((0, (0, 1, 2)),)), ValueError,
+     "fibers must be indexed by the whole target"),
+    ("source element missing", lambda: _c3_to_c2(((0, (0,)), (1, (1,)))), ValueError,
+     "fibers do not partition the source"),
+    ("source element duplicated", lambda: _c3_to_c2(((0, (0, 1)), (1, (1, 2)))),
+     ValueError, "fibers do not partition the source"),
+    ("extra element", lambda: _c3_to_c2(((0, (0, 1)), (1, (2, 3)))), ValueError,
+     "fibers do not partition the source"),
+    ("wrong rotation", lambda: _c3_to_c2(((0, (0, 2)), (1, (1,)))), ValueError,
+     "fiber orders do not induce the source cycle"),
+    ("dual of a cycle with BOTTOM", lambda: D_on_map(identity_cyc(CycOrd((BOTTOM, 0)))),
+     ValueError, "order already carries the outer gap sentinel"),
+    ("dual of a map out of a cycle with BOTTOM",
+     lambda: D_on_map(CycMap(CycOrd((BOTTOM, 0)), standard_cycle(0), ((0, (BOTTOM, 0)),))),
+     ValueError, "order already carries the outer gap sentinel"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, exc, message",
+    [case[1:] for case in MALFORMED_CYCLIC],
+    ids=[case[0] for case in MALFORMED_CYCLIC],
+)
+def test_cyclic_constructors_reject_malformed_input(build, exc, message):
+    with pytest.raises(exc) as info:
+        build()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_cycmap_fibers_follow_target_label_order():
+    src = CycOrd(("x", "y", 3, (1,), "z"))
+    dst = CycOrd(("b", 2, (0, "a"), 1))
+    assert src.cycle == (3, (1,), "z", "x", "y")
+    assert dst.cycle == (1, "b", 2, (0, "a"))
+    m = CycMap(src, dst, ((1, (3,)), ("b", ((1,), "z")), (2, ()), ((0, "a"), ("x", "y"))))
+    assert m.fibers == ((1, (3,)), (2, ()), ("b", ((1,), "z")), ((0, "a"), ("x", "y")))
+
+
+def test_cycord_caches_leave_equality_and_hash_alone():
+    used = CycOrd(("b", 2, (0, "a"), 1))
+    assert used.carrier == frozenset((1, "b", 2, (0, "a")))
+    identity_cyc(used)
+    fresh = CycOrd(("b", 2, (0, "a"), 1))
+    assert used.__dict__["_by_key"] == (1, 2, "b", (0, "a"))
+    assert "_by_key" not in fresh.__dict__
+    assert used == fresh and hash(used) == hash(fresh)
+    assert len({used, fresh}) == 1
+    assert identity_cyc(used) == identity_cyc(fresh)
 
 
 def test_cycmap_counts_match_cyclic_category():
