@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .finset import (
@@ -23,14 +24,14 @@ from .finset import (
     Span,
     big_product,
     compose_spans,
-    constant_map,
     fin_map_by,
+    gather_positions,
     identity_span,
     product_carrier,
+    product_label,
     product_set,
     pullback,
     reverse_span,
-    slotwise_map,
     spans_isomorphic,
     tensor_spans,
     terminal_map,
@@ -48,7 +49,7 @@ from .orders import (
 from .dualities import PointedMap, PointedSet
 from .report import Report
 from .sobj import CycObj, apply_lambda_op, simplex_map
-from .segal import judge_bijection
+from .segal import judge_bijection, judge_pullback_bijection
 from .spanalg import multiplication_span, unitor_spans
 
 
@@ -569,7 +570,8 @@ class LambdaStarFunctor:
 
     Families go to products of the matching levels (the empty family to
     a one-element set), cyclic ranks to the level itself.  Morphism
-    actions are assembled slotwise from the stored tables.
+    actions are assembled slotwise from the stored tables, as position
+    columns that ``action`` turns into maps.
     """
 
     def __init__(self, x):
@@ -578,27 +580,41 @@ class LambdaStarFunctor:
         self.x = x
         self._values = {}
 
-    def value(self, obj):
+    def levels(self, obj):
+        """The factors of value(obj): one level per slot, or the level."""
         if isinstance(obj, CyclicRank):
-            if obj.rank > self.x.top_rank:
-                raise ValueError("insufficient truncation")
-            return self.x.level(obj.rank)
-        for _, r in obj.slots:
-            if r > self.x.top_rank:
-                raise ValueError("insufficient truncation")
+            ranks = [obj.rank]
+        else:
+            ranks = [r for _, r in obj.slots]
+        if any(r > self.x.top_rank for r in ranks):
+            raise ValueError("insufficient truncation")
+        return [self.x.level(r) for r in ranks]
+
+    def value(self, obj):
+        levels = self.levels(obj)
+        if isinstance(obj, CyclicRank):
+            return levels[0]
         if obj not in self._values:
-            self._values[obj] = product_carrier(
-                [self.x.level(r) for _, r in obj.slots]
-            )
+            self._values[obj] = product_carrier(levels)
         return self._values[obj]
 
-    def action(self, mor):
-        src_v = self.value(mor.src)
-        dst_v = self.value(mor.dst)
+    def label(self, obj, p):
+        """The element at position p of value(obj), decoded, not built."""
+        levels = self.levels(obj)
+        if isinstance(obj, CyclicRank):
+            return levels[0].elements[p]
+        return product_label(levels, p)
+
+    def positions(self, mor):
+        """The action of mor as a position column.
+
+        Entry p is the position in value(mor.dst) of the image of the
+        element at position p of value(mor.src); no product is built.
+        """
         if isinstance(mor, CycRankMor):
-            return apply_lambda_op(self.x, mor.op)
+            return apply_lambda_op(self.x, mor.op).positions()
+        reads = []  # (source slot, position column) per target slot
         if isinstance(mor, FamilyMor):
-            slot_maps = []
             for t, r in mor.dst.slots:
                 # target slot t reads its block of the glued map over slot i
                 i = mor.phi_of(t)
@@ -608,24 +624,30 @@ class LambdaStarFunctor:
                 piece = simplex_map(
                     self.x, mor.src.rank_of(i), mor.comp(i)[off : off + r + 1]
                 )
-                slot_maps.append((mor.src.slot_position(i), piece.as_dict()))
-            return slotwise_map(src_v, dst_v, slot_maps)
-        if isinstance(mor, CycToFamilyMor):
-            if len(mor.dst) == 0:
-                return constant_map(src_v, dst_v, ())
-            union = mor.op.src
-            comps = []
+                reads.append((mor.src.slot_position(i), piece.positions()))
+        elif isinstance(mor, CycToFamilyMor):
             for i in mor.dst.index:
-                a = mor.dst.rank_of(i)
+                # slot i reads the arc of its block in the glued cycle
+                union = mor.op.src  # the empty family has no op
                 fibers = tuple(
-                    (e, (e[1],) if e[0] == i else ())
-                    for e in union.cycle
+                    (e, (e[1],) if e[0] == i else ()) for e in union.cycle
                 )
-                arc = CycMap(standard_cycle(a), union, fibers)
-                comps.append(apply_lambda_op(self.x, mor.op.compose(arc)))
-            values = zip(*(m.assignment for m in comps))
-            return FinMap(src_v, dst_v, tuple(values))
-        raise ValueError("not a family / cyclic-rank morphism")
+                arc = CycMap(standard_cycle(mor.dst.rank_of(i)), union, fibers)
+                comp = apply_lambda_op(self.x, mor.op.compose(arc))
+                reads.append((0, comp.positions()))
+        else:
+            raise ValueError("not a family / cyclic-rank morphism")
+        src_sizes = [len(s) for s in self.levels(mor.src)]
+        dst_sizes = [len(s) for s in self.levels(mor.dst)]
+        return gather_positions(src_sizes, reads, dst_sizes)
+
+    def action(self, mor):
+        if isinstance(mor, CycRankMor):
+            return apply_lambda_op(self.x, mor.op)
+        column = self.positions(mor)
+        dst = self.value(mor.dst)
+        images = map(dst.elements.__getitem__, column)
+        return FinMap(self.value(mor.src), dst, tuple(images))
 
 
 # --------------------------------------------------------------------------
@@ -701,13 +723,36 @@ def _family_universe(n_top, budget):
             yield FamilyObj(tuple(zip(pool, ranks)))
 
 
+def _judge_subdivision(fn, rep, check, loc, to_fine, to_coarse, long, units):
+    """Judge apex -> fine x_edges coarse for a subdivision square.
+
+    The legs are to_fine: apex -> fine, to_coarse: apex -> coarse,
+    long: fine -> edges and units: coarse -> edges.  Every action is a
+    position column, so neither the pullback nor any product is built;
+    labels are decoded only for a witness.
+    """
+    if fn.levels(long.dst) != fn.levels(units.dst):
+        raise ValueError("pullback needs a shared codomain")
+    judge_pullback_bijection(
+        rep,
+        check,
+        loc,
+        *(fn.positions(m) for m in (to_fine, to_coarse, long, units)),
+        *(partial(fn.label, obj) for obj in (to_fine.src, long.src, units.src)),
+    )
+
+
 def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
     """Product cones, subdivision pullbacks, rotation bijections and
     non-degeneracy for a cyclic object.
 
-    ``budget`` bounds index-set sizes and slot ranks of the enumerated
-    instances; comparisons whose corners would exceed ``max_cells``
-    elements are skipped and counted in the scope notes.
+    A subdivision square holds when apex -> fine x_edges coarse is a
+    bijection.  Both kinds (cell and cyclic) are judged on element
+    positions in the products of levels: neither the fiber product nor
+    any corner product is built, and labels are decoded only for a
+    witness.  ``budget`` bounds index-set sizes and slot ranks of the
+    enumerated instances; comparisons whose corners would exceed
+    ``max_cells`` elements are skipped and counted in the scope notes.
     """
     rep = report if report is not None else Report("cyclic algebra conditions")
     if x.top_rank < 3:
@@ -810,12 +855,8 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                 raise AssertionError(
                     "subdivision square fails to commute structurally"
                 )
-            left = fn.action(to_fine)
-            right = fn.action(to_coarse)
-            pb, _, _ = pullback(fn.action(long), fn.action(units))
-            values = list(zip(left.assignment, right.assignment))
-            judge_bijection(
-                rep, "cell-subdivision", loc, fn.value(apex), values, pb
+            _judge_subdivision(
+                fn, rep, "cell-subdivision", loc, to_fine, to_coarse, long, units
             )
 
     for n in range(min(n_top, budget) + 1):
@@ -865,15 +906,9 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                 raise AssertionError(
                     "cyclic subdivision square fails to commute structurally"
                 )
-            pb, _, _ = pullback(
-                fn.action(long_edge_morphism(fam)),
-                fn.action(cyclic_edge_decomposition(n)),
-            )
-            left = fn.action(to_fam)
-            right = fn.action(to_cyc)
-            values = list(zip(left.assignment, right.assignment))
-            judge_bijection(
-                rep, "cyclic-subdivision", loc, fn.value(apex), values, pb
+            _judge_subdivision(
+                fn, rep, "cyclic-subdivision", loc, to_fam, to_cyc,
+                long_edge_morphism(fam), cyclic_edge_decomposition(n),
             )
 
     for n in range(n_top + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections import Counter
-from operator import add, eq, itemgetter
+from operator import add, eq, itemgetter, mul
 
 from .labels import check_label, label_key
 
@@ -103,6 +103,10 @@ class FinMap:
     def as_dict(self):
         return dict(zip(self.src.elements, self.assignment))
 
+    def positions(self):
+        """The position in dst of each image, in canonical src order."""
+        return tuple(map(self.dst._positions().__getitem__, self.assignment))
+
     def compose(self, other):
         """self after other."""
         if other.dst != self.src:
@@ -144,6 +148,51 @@ def product_carrier(sets):
     # product iteration over canonical sets emits canonical order
     elements = tuple(itertools.product(*(s.elements for s in sets)))
     return trusted(FinSet, elements=elements)
+
+
+def product_strides(sizes):
+    """Weight of each slot in a product position: the last slot is 1.
+
+    product_carrier's canonical order varies the last slot fastest, so
+    the tuple of slot positions (d_0 ... d_k-1) sits at sum(d_s * stride_s).
+    """
+    strides = []
+    acc = 1
+    for n in reversed(sizes):
+        strides.append(acc)
+        acc *= n
+    return strides[::-1]
+
+
+def product_label(sets, p):
+    """product_carrier(sets).elements[p], decoded from the position p."""
+    out = []
+    for s in reversed(sets):
+        p, d = divmod(p, len(s))
+        out.append(s.elements[d])
+    return tuple(out[::-1])
+
+
+def gather_positions(src_sizes, reads, dst_sizes):
+    """A slotwise map between products of sets, on positions.
+
+    reads[t] = (i, column) says that target slot t takes column[d_i], the
+    image of the position d_i of source slot i.  Entry p of the result is
+    the target position of source position p.  A target position is a sum
+    over source slots of one weight per slot, so the column is the outer
+    sum of those weight columns, built with no Python code per element.
+    """
+    weights = [[0] * n for n in src_sizes]
+    for (i, column), stride in zip(reads, product_strides(dst_sizes)):
+        scaled = map(mul, column, itertools.repeat(stride))
+        weights[i] = list(map(add, weights[i], scaled))
+    out = [0]
+    for w in weights:
+        each = itertools.repeat(len(w))
+        heads = itertools.chain.from_iterable(map(itertools.repeat, out, each))
+        tails = itertools.chain.from_iterable(itertools.repeat(w, len(out)))
+        out = list(map(add, heads, tails))
+    return out
 
 
 def _projection(p, i, s):
@@ -264,7 +313,7 @@ def limit(diagram):
     into = {n: [] for n in names}
     out = {n: [] for n in names}
     for s, d, m in diagram.arrows:
-        img = tuple(map(m.dst._positions().__getitem__, m.assignment))
+        img = m.positions()
         if s == d:
             cands[s] = [v for v in cands[s] if img[v] == v]
         elif column[s] < column[d]:

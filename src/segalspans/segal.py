@@ -8,6 +8,10 @@ of an interval into two blocks) and the polygon-triangulation form
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+from operator import add, eq, mul
+
 from .finset import FinDiagram, limit, pullback, tupled_values
 from .labels import label_key
 from .report import Report
@@ -19,17 +23,70 @@ def judge_bijection(rep, check, location, src_set, values, target_set):
 
     values[i] is the would-be image of src_set.elements[i]; it may fall
     outside target_set when the object's identities are broken, which
-    counts as a failure rather than an error.  The witness is the first
-    stray element, the first colliding pair, or the first missed target.
+    counts as a failure rather than an error.
     """
     target = set(target_set.elements)
+    _judge_images(
+        rep, check, location, values, list(map(target.__contains__, values)),
+        len(target_set), target_set.elements, src_set.elements.__getitem__,
+        lambda v: v,
+    )
+
+
+def judge_pullback_bijection(
+    rep, check, location, left, right, f, g, src_label, a_label, b_label
+):
+    """judge_bijection of p -> (left[p], right[p]) onto the pullback of
+    f: A -> C <- g: B, decided on positions without building the pullback.
+
+    left and right are position columns into A and B, f and g position
+    columns into C.  The pair (a, b) lies in the pullback when f[a] ==
+    g[b] and is keyed a * |B| + b, so key order is the pullback's
+    canonical order.  Labels are decoded only for a witness: src_label
+    maps a source position, a_label and b_label positions of A and B.
+    """
+    nb = len(g)
+    inside = list(map(eq, map(f.__getitem__, left), map(g.__getitem__, right)))
+    keys = list(map(add, map(mul, left, repeat(nb)), right))
+    # each a in A pairs with every b in the g-fiber over f[a]
+    size = sum(map(Counter(g).get, f, repeat(0)))
+
+    def target_keys():
+        buckets = {}
+        for b, c in enumerate(g):
+            buckets.setdefault(c, []).append(b)
+        for a, c in enumerate(f):
+            for b in buckets.get(c, ()):
+                yield a * nb + b
+
+    _judge_images(
+        rep, check, location, keys, inside, size, target_keys(), src_label,
+        lambda k: (a_label(k // nb), b_label(k % nb)),
+    )
+
+
+def _judge_images(
+    rep, check, location, images, inside, target_size, target_images,
+    src_label, target_label,
+):
+    """The one bijection judge behind both entry points.
+
+    images[i] is a hashable key of the image of source element i and
+    inside[i] whether it lies in the target, which has target_size
+    elements and whose keys target_images lists lazily in canonical
+    order.  The witness is the first stray element, the first colliding
+    pair, or the first missed target, decoded by src_label (from a
+    source index) and target_label (from a target key).
+    """
+    if all(inside) and len(images) == target_size == len(set(images)):
+        return
     seen = {}
-    for e, v in zip(src_set.elements, values):
-        if v not in target:
+    for i, (v, ok) in enumerate(zip(images, inside)):
+        if not ok:
             rep.fail(
                 check,
                 location,
-                witness=e,
+                witness=src_label(i),
                 detail="comparison image is not a compatible family",
             )
             return
@@ -37,22 +94,18 @@ def judge_bijection(rep, check, location, src_set, values, target_set):
             rep.fail(
                 check,
                 location,
-                witness=(seen[v], e),
+                witness=(src_label(seen[v]), src_label(i)),
                 detail="two simplices induce the same glued family",
             )
             return
-        seen[v] = e
-    if len(values) != len(target_set):
-        missing = next(v for v in target_set.elements if v not in seen)
-        rep.fail(
-            check,
-            location,
-            witness=missing,
-            detail=(
-                f"glued family count {len(target_set)} "
-                f"vs simplex count {len(values)}"
-            ),
-        )
+        seen[v] = i
+    missing = next(v for v in target_images if v not in seen)
+    rep.fail(
+        check,
+        location,
+        witness=target_label(missing),
+        detail=f"glued family count {target_size} vs simplex count {len(images)}",
+    )
 
 
 def square_instances(n_top):

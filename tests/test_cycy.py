@@ -2,6 +2,7 @@
 cyclic-rank morphisms, the induced set-valued functor, and the checks."""
 
 import itertools
+import re
 
 import pytest
 
@@ -33,7 +34,7 @@ from segalspans.cycy import (
     unit_edges_morphism,
 )
 from segalspans.dualities import PointedSet
-from segalspans.finset import FinMap
+from segalspans.finset import FinMap, product_label
 from segalspans.generators import (
     cyclic_group_table,
     cyclic_nerve_of_group,
@@ -324,6 +325,24 @@ def test_functor_respects_composition(z2_fn):
                     assert lhs == rhs
 
 
+def test_positional_action_decodes_to_reference(z2_fn):
+    """The position column of every swept family morphism, including the
+    empty family and a rank-0 slot, decodes to the reference action."""
+    fa = FamilyObj(((0, 1),))
+    fb = FamilyObj((("a", 0), ("b", 1)))
+    fams = [FamilyObj(()), fa, fb]
+    seen = 0
+    for a, b in itertools.product(fams, repeat=2):
+        levels = z2_fn.levels(b)
+        for f in all_lambda_star_mors(a, b):
+            column = z2_fn.positions(f)
+            assert len(column) == len(z2_fn.value(a))
+            decoded = tuple(product_label(levels, p) for p in column)
+            assert decoded == _family_action_per_element(z2_fn, f)
+            seen += 1
+    assert seen > 0
+
+
 def test_functor_identity_action(z2_fn):
     for obj in (CyclicRank(2), FamilyObj(((0, 1), (1, 2)))):
         act = z2_fn.action(lambda_star_identity(obj))
@@ -413,12 +432,25 @@ def test_nondegeneracy_criteria_agree_even_when_failing(z2):
     assert "nondegeneracy-internal" not in {f.check for f in rep.findings}
 
 
+SKIP_NOTE = re.compile(r"(\d+) oversized instances skipped")
+
+# oversized instances skipped per group at the default budget and
+# max_cells, recorded before the subdivision squares were judged on
+# positions; a faster check must not come from checking less
+PINNED_CY_SKIPS = {"triv": 0, "z2": 0, "z3": 4, "z4": 44, "v4": 44}
+
+
 def test_check_cy_all_small_groups_smoke():
     # orders 1 and 4 exercise both abelian shapes cheaply
+    skips = {}
     for name, table in groups_up_to_order(4):
         x = cyclic_nerve_of_group(table, 3)
         rep = check_cy_conditions(x)
         assert rep.ok, (name, rep.findings[:2])
+        notes = [m for m in map(SKIP_NOTE.search, rep.scope) if m]
+        assert len(notes) == 1, rep.scope
+        skips[name] = int(notes[0].group(1))
+    assert skips == PINNED_CY_SKIPS
 
 
 def _findings_by_check(rep):

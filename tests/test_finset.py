@@ -12,12 +12,15 @@ from segalspans.finset import (
     compose_spans,
     constant_map,
     fin_map_by,
+    gather_positions,
     identity_fin,
     identity_span,
     is_equivalence_span,
     limit,
     product_carrier,
+    product_label,
     product_set,
+    product_strides,
     pullback,
     reverse_span,
     slotwise_map,
@@ -135,6 +138,32 @@ def test_big_product_projections_and_slotwise_maps():
             assert got.assignment == tuple(
                 tuple(m[t[i]] for i, m in slots) for t in p.elements
             )
+
+
+def test_product_positions_decode_and_gather():
+    a = FinSet((0, 1))
+    b = FinSet(("x", "y", "z"))
+    one = FinSet(((),))
+    for sets in ([a, b], [b, one, a], [a, FinSet(()), b], [one], [a], []):
+        p = product_carrier(sets)
+        strides = product_strides([len(s) for s in sets])
+        for k, t in enumerate(p.elements):
+            assert product_label(sets, k) == t
+            assert sum(s.index(v) * w for s, v, w in zip(sets, t, strides)) == k
+        # the gather agrees with slotwise_map read back as positions
+        tagged = tuple(
+            (i, {x: (i, x) for x in s.elements}) for i, s in enumerate(sets)
+        )
+        for slots in ((), tagged, tagged[::-1] * 2):
+            dst_sets = [FinSet(tuple(m.values())) for _, m in slots]
+            dst = product_carrier(dst_sets)
+            reads = [
+                (i, [d.index(m[x]) for x in sets[i].elements])
+                for (i, m), d in zip(slots, dst_sets)
+            ]
+            sizes = [len(s) for s in sets]
+            got = gather_positions(sizes, reads, [len(d) for d in dst_sets])
+            assert got == list(slotwise_map(p, dst, slots).positions())
 
 
 def test_tupled_values_rows_and_source_check():

@@ -1,6 +1,6 @@
 import pytest
 
-from segalspans.finset import FinMap, FinSet, fin_map_by
+from segalspans.finset import FinMap, FinSet, fin_map_by, pullback
 from segalspans.generators import (
     cech_nerve,
     cyclic_group_table,
@@ -14,9 +14,12 @@ from segalspans.segal import (
     check_2segal,
     check_2segal_triangulations,
     check_unital,
+    judge_bijection,
+    judge_pullback_bijection,
     square_instances,
     triangulations,
 )
+from segalspans.report import Report
 from segalspans.orders import all_lin_maps, standard_order
 from segalspans.sobj import SimpObj, apply_delta_op, relabel, simplex_map, truncate
 from segalspans.spanalg import check_algebra_conditions
@@ -257,3 +260,44 @@ def test_structure_maps_start_at_the_source_level():
                 assert m.src == x.level(b)
                 assert m.dst == x.level(a)
                 assert simplex_map(x, b, phi.images) == m
+
+
+# A = {0, 1, 2} and B = {x, y} over C = {0, 1}: the pullback is
+# {(0, x), (1, x), (2, y)}.  Each case lists the source set and the
+# (left, right) images of its elements, and the branch it must reach.
+JUDGE_CASES = [
+    ("ok", (10, 11, 12), ((0, "x"), (1, "x"), (2, "y")), None),
+    ("stray", (10, 11, 12), ((0, "x"), (1, "y"), (2, "y")),
+     "comparison image is not a compatible family"),
+    ("collision", (10, 11, 12), ((0, "x"), (0, "x"), (2, "y")),
+     "two simplices induce the same glued family"),
+    ("collision-before-stray", (10, 11, 12), ((0, "x"), (0, "x"), (1, "y")),
+     "two simplices induce the same glued family"),
+    ("missing", (10, 11), ((0, "x"), (2, "y")),
+     "glued family count 3 vs simplex count 2"),
+    ("missing-last", (10, 11), ((0, "x"), (1, "x")),
+     "glued family count 3 vs simplex count 2"),
+    ("empty-source", (), (), "glued family count 3 vs simplex count 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "src, images, detail", [c[1:] for c in JUDGE_CASES], ids=[c[0] for c in JUDGE_CASES]
+)
+def test_positional_judge_matches_label_judge(src, images, detail):
+    a, b, c = FinSet((0, 1, 2)), FinSet(("x", "y")), FinSet((0, 1))
+    f = FinMap(a, c, (0, 0, 1))
+    g = FinMap(b, c, (0, 1))
+    s = FinSet(src)
+    left = FinMap(s, a, tuple(v for v, _ in images))
+    right = FinMap(s, b, tuple(w for _, w in images))
+    by_label, by_position = Report("labels"), Report("positions")
+    pb, _, _ = pullback(f, g)
+    judge_bijection(by_label, "sq", (1,), s, list(images), pb)
+    judge_pullback_bijection(
+        by_position, "sq", (1,), left.positions(), right.positions(),
+        f.positions(), g.positions(), s.elements.__getitem__,
+        a.elements.__getitem__, b.elements.__getitem__,
+    )
+    assert [x.detail for x in by_label.findings] == ([detail] if detail else [])
+    assert by_position.findings == by_label.findings
