@@ -44,13 +44,18 @@ from .orders import (
     cyc_map_by,
     identity_cyc,
     standard_cycle,
-    standard_order,
 )
 from .dualities import PointedMap, PointedSet
 from .report import Report
 from .sobj import CycObj, apply_lambda_op, simplex_map
 from .segal import judge_bijection, judge_pullback_bijection
-from .spanalg import multiplication_span, unitor_spans
+from .spanalg import (
+    check_block,
+    check_rank,
+    compose_blocks,
+    multiplication_span,
+    unitor_spans,
+)
 
 
 @dataclass(frozen=True)
@@ -261,8 +266,7 @@ class FamilyObj:
         if len({i for i, _ in slots}) != len(slots):
             raise ValueError("repeated index label")
         for _, r in slots:
-            if r < 0:
-                raise ValueError("ranks must be >= 0")
+            check_rank(r)
         object.__setattr__(self, "slots", slots)
 
     @property
@@ -290,8 +294,7 @@ class CyclicRank:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("cyclic rank must be >= 0")
+        check_rank(self.rank)
 
 
 def family_union_cycle(fam, cycle):
@@ -308,76 +311,60 @@ def family_union_cycle(fam, cycle):
     return CycOrd(tuple(seq))
 
 
-def _ordsum_layout(ranks):
-    """Offsets of skeletal blocks inside their ordinal sum."""
-    offs = []
-    acc = 0
-    for r in ranks:
-        offs.append(acc)
-        acc += r + 1
-    return offs, acc
-
-
 @dataclass(frozen=True)
 class FamilyMor:
-    """A morphism of families: an index map against the arrow, a linear
-    order on each of its fibers, and one monotone gluing map per source
-    slot.
+    """A morphism of families: one block per target slot, and a linear
+    order on every fiber of the index map against the arrow.
 
-    ``phi`` sends target indices to source indices.  ``fiber_orders``
-    lists, for every source index, its phi-preimage in a chosen order.
-    ``comps`` gives, per source index i, the images of a monotone map
-    from the ordinal sum of the fiber's skeletal blocks into [rank_i].
-    Unlike the junction-sharing tuples of the purely simplicial layer,
-    the blocks here are disjoint and no endpoint condition is imposed.
+    ``blocks`` pairs every target index t with its block (i, vertices):
+    the source index t reads and a vertex list naming a monotone map
+    [rank_t] -> [rank_i], as ``sobj.simplex_map`` takes it.
+    ``fiber_orders`` lists, for every source index i, the target indices
+    whose blocks read i, in a chosen order; it is data of its own, since
+    equal blocks do not fix it.  Along a fiber order the blocks never
+    decrease (each starts at or above the end of the one before it), so
+    together they form one monotone map from the ordinal sum of the
+    fiber's intervals.  Unlike tuple morphisms, consecutive blocks need
+    not share a vertex and no endpoint condition is imposed.
     """
 
     src: FamilyObj
     dst: FamilyObj
-    phi: tuple  # (target index, source index) pairs
+    blocks: tuple  # (target index, (source index, vertex list)) pairs
     fiber_orders: tuple  # (source index, ordered tuple of target indices)
-    comps: tuple  # (source index, image tuple)
 
     def __post_init__(self):
-        phi = {t: s for t, s in self.phi}
-        if len(phi) != len(self.phi) or set(phi) != set(self.dst.index):
-            raise ValueError("phi must cover the target index exactly once")
-        for t, s in phi.items():
-            if s not in self.src.ranks:
-                raise ValueError(f"phi image {s!r} not a source index")
-        orders = {i: tuple(f) for i, f in self.fiber_orders}
-        if set(orders) != set(self.src.index):
-            raise ValueError("one fiber order per source index required")
-        for i, f in orders.items():
-            expect = sorted((t for t in phi if phi[t] == i), key=label_key)
-            if sorted(f, key=label_key) != expect:
+        blocks = {t: (i, tuple(verts)) for t, (i, verts) in self.blocks}
+        dst_index = self.dst.index
+        if len(blocks) != len(self.blocks) or set(blocks) != set(dst_index):
+            raise ValueError("need one block per target index")
+        src_ranks, dst_ranks = self.src.ranks, self.dst.ranks
+        fiber_sizes = dict.fromkeys(src_ranks, 0)
+        for t, (i, verts) in blocks.items():
+            if i not in src_ranks:
+                raise ValueError(f"block at {t!r} reads {i!r}, not a source index")
+            fiber_sizes[i] += 1
+            check_block(t, verts, dst_ranks[t], src_ranks[i])
+        orders = {i: tuple(order) for i, order in self.fiber_orders}
+        if len(orders) != len(self.fiber_orders) or set(orders) != set(src_ranks):
+            raise ValueError("need one fiber order per source index")
+        for i, order in orders.items():
+            if (
+                len(order) != fiber_sizes[i]
+                or len(set(order)) != len(order)
+                or any(t not in blocks or blocks[t][0] != i for t in order)
+            ):
                 raise ValueError(f"fiber order at {i!r} does not list the fiber")
-        comps = {i: tuple(c) for i, c in self.comps}
-        if set(comps) != set(self.src.index):
-            raise ValueError("one gluing map per source index required")
-        for i, images in comps.items():
-            _, size = _ordsum_layout([self.dst.rank_of(t) for t in orders[i]])
-            if len(images) != size:
-                raise ValueError(f"gluing map at {i!r} has wrong length")
-            top = self.src.rank_of(i)
-            for a, b in zip(images, images[1:]):
-                if a > b:
-                    raise ValueError(f"gluing map at {i!r} is not monotone")
-            if any(v < 0 or v > top for v in images):
-                raise ValueError(f"gluing map at {i!r} leaves the target")
-        canon = lambda d: tuple(sorted(d.items(), key=lambda kv: label_key(kv[0])))
-        object.__setattr__(self, "phi", canon(phi))
-        object.__setattr__(self, "fiber_orders", canon(orders))
-        object.__setattr__(self, "comps", canon(comps))
-
-    def phi_of(self, t):
-        return dict(self.phi)[t]
+            for a, b in zip(order, order[1:]):
+                if blocks[a][1][-1] > blocks[b][1][0]:
+                    raise ValueError(f"blocks at {a!r} and {b!r} decrease along the fiber")
+        object.__setattr__(self, "blocks", tuple((t, blocks[t]) for t in dst_index))
+        object.__setattr__(
+            self, "fiber_orders", tuple((i, orders[i]) for i in self.src.index)
+        )
 
     def fiber_order(self, i):
         return dict(self.fiber_orders)[i]
-
-    def comp(self, i):
-        return dict(self.comps)[i]
 
 
 @dataclass(frozen=True)
@@ -431,61 +418,39 @@ def lambda_star_identity(obj):
     return FamilyMor(
         obj,
         obj,
-        tuple((i, i) for i in obj.index),
+        tuple((i, (i, tuple(range(r + 1)))) for i, r in obj.slots),
         tuple((i, (i,)) for i in obj.index),
-        tuple((i, tuple(range(r + 1))) for i, r in obj.slots),
     )
 
 
 def _compose_family(g, f):
-    # g after f, both family morphisms
-    phi = {u: f.phi_of(g.phi_of(u)) for u in g.dst.index}
-    orders = {}
-    comps = {}
-    for i in f.src.index:
-        walk = []
-        for j in f.fiber_order(i):
-            walk.extend(g.fiber_order(j))
-        orders[i] = tuple(walk)
-        mid_ranks = [f.dst.rank_of(j) for j in f.fiber_order(i)]
-        mid_offs, _ = _ordsum_layout(mid_ranks)
-        images = []
-        for j, mid_off in zip(f.fiber_order(i), mid_offs):
-            gj = g.comp(j)
-            images.extend(f.comp(i)[mid_off + v] for v in gj)
-        comps[i] = tuple(images)
-    return FamilyMor(
-        f.src,
-        g.dst,
-        tuple(phi.items()),
-        tuple(orders.items()),
-        tuple(comps.items()),
+    # g after f, both family morphisms; fiber orders walk f's fibers
+    # and, inside each, g's
+    targets = [u for u, _ in g.blocks]
+    blocks = compose_blocks((b for _, b in g.blocks), dict(f.blocks).__getitem__)
+    g_orders = dict(g.fiber_orders)
+    orders = tuple(
+        (i, tuple(u for j in order for u in g_orders[j])) for i, order in f.fiber_orders
     )
+    return FamilyMor(f.src, g.dst, tuple(zip(targets, blocks)), orders)
 
 
 def _compose_family_after_round(g, f):
     # g: family morphism after f: cyclic-to-family morphism
     if len(g.dst) == 0:
         return CycToFamilyMor(f.src, g.dst, None, None)
-    seq = []
-    for j in f.cycle.cycle:
-        seq.extend(g.fiber_order(j))
-    cycle = CycOrd(tuple(seq))
+    orders = dict(g.fiber_orders)
+    cycle = CycOrd(tuple(k for j in f.cycle.cycle for k in orders[j]))
     union = family_union_cycle(g.dst, cycle)
     mid_union = f.op.src
-    layout = {}
-    for j in g.src.index:
-        offs, _ = _ordsum_layout([g.dst.rank_of(k) for k in g.fiber_order(j)])
-        layout[j] = dict(zip(g.fiber_order(j), offs))
-    assign = {}
-    for k, x in union.cycle:
-        j = g.phi_of(k)
-        assign[(k, x)] = (j, g.comp(j)[layout[j][k] + x])
+    blocks = dict(g.blocks)
+    # the point (k, x) of the glued cycle goes to the vertex of j that
+    # k's block reads at x
     fibers = {e: [] for e in mid_union.cycle}
     for j in f.cycle.cycle:
-        for k in g.fiber_order(j):
-            for x in range(g.dst.rank_of(k) + 1):
-                fibers[assign[(k, x)]].append((k, x))
+        for k in orders[j]:
+            for x, v in enumerate(blocks[k][1]):
+                fibers[(j, v)].append((k, x))
     glue = CycMap(union, mid_union, tuple((e, tuple(v)) for e, v in fibers.items()))
     return CycToFamilyMor(f.src, g.dst, cycle, f.op.compose(glue))
 
@@ -509,7 +474,7 @@ def lambda_star_compose(g, f):
 
 def all_lambda_star_mors(src, dst):
     """Every morphism src -> dst; families never map to cyclic ranks."""
-    from .orders import all_cyc_maps, all_lin_maps
+    from .orders import all_cyc_maps
 
     if isinstance(src, FamilyObj) and isinstance(dst, CyclicRank):
         return
@@ -531,34 +496,29 @@ def all_lambda_star_mors(src, dst):
                 yield CycToFamilyMor(src, dst, cycle, op)
         return
     index_s, index_t = src.index, dst.index
+    src_ranks, dst_ranks = src.ranks, dst.ranks
     for values in itertools.product(index_s, repeat=len(index_t)):
         phi = dict(zip(index_t, values))
         groups = {i: [t for t in index_t if phi[t] == i] for i in index_s}
         order_pools = [itertools.permutations(groups[i]) for i in index_s]
         for orders in itertools.product(*order_pools):
-            orders = dict(zip(index_s, map(tuple, orders)))
-            comp_pools = []
-            for i in index_s:
-                _, size = _ordsum_layout(
-                    [dst.rank_of(t) for t in orders[i]]
-                )
-                comp_pools.append(
-                    [
-                        m.images
-                        for m in all_lin_maps(
-                            standard_order(size - 1),
-                            standard_order(src.rank_of(i)),
-                        )
-                    ]
-                )
-            for comps in itertools.product(*comp_pools):
-                yield FamilyMor(
-                    src,
-                    dst,
-                    tuple(phi.items()),
-                    tuple(orders.items()),
-                    tuple(zip(index_s, comps)),
-                )
+            # the blocks of a fiber, laid end to end in its order, form one
+            # monotone map from the ordinal sum of the fiber's intervals
+            glued_pools = [
+                list(itertools.combinations_with_replacement(
+                    range(src_ranks[i] + 1), sum(dst_ranks[t] + 1 for t in order)
+                ))
+                for i, order in zip(index_s, orders)
+            ]
+            for glued in itertools.product(*glued_pools):
+                blocks = []
+                for i, order, images in zip(index_s, orders, glued):
+                    cut = iter(images)
+                    blocks.extend(
+                        (t, (i, tuple(itertools.islice(cut, dst_ranks[t] + 1))))
+                        for t in order
+                    )
+                yield FamilyMor(src, dst, tuple(blocks), tuple(zip(index_s, orders)))
 
 
 # --------------------------------------------------------------------------
@@ -615,15 +575,9 @@ class LambdaStarFunctor:
             return apply_lambda_op(self.x, mor.op).positions()
         reads = []  # (source slot, position column) per target slot
         if isinstance(mor, FamilyMor):
-            for t, r in mor.dst.slots:
-                # target slot t reads its block of the glued map over slot i
-                i = mor.phi_of(t)
-                order = mor.fiber_order(i)
-                offs, _ = _ordsum_layout([mor.dst.rank_of(j) for j in order])
-                off = offs[order.index(t)]
-                piece = simplex_map(
-                    self.x, mor.src.rank_of(i), mor.comp(i)[off : off + r + 1]
-                )
+            src_ranks = mor.src.ranks
+            for _, (i, verts) in mor.blocks:
+                piece = simplex_map(self.x, src_ranks[i], verts)
                 reads.append((mor.src.slot_position(i), piece.positions()))
         elif isinstance(mor, CycToFamilyMor):
             for i in mor.dst.index:
@@ -678,9 +632,8 @@ def long_edge_morphism(fam):
     return FamilyMor(
         fam,
         dst,
-        tuple((i, i) for i in fam.index),
+        tuple((i, (i, (0, r))) for i, r in fam.slots),
         tuple((i, (i,)) for i in fam.index),
-        tuple((i, (0, r)) for i, r in fam.slots),
     )
 
 
@@ -688,20 +641,16 @@ def unit_edges_morphism(fam):
     """Split every slot of a family into its chain of unit edges.
 
     The target is a rank-1 family over the disjoint union of slot gaps;
-    a rank-0 slot contributes nothing and its gluing map is empty.
+    a rank-0 slot contributes nothing and its fiber is empty.
     """
     dst = FamilyObj(
         tuple(((i, j), 1) for i, r in fam.slots for j in range(r))
     )
-    phi = tuple(((i, j), i) for i, r in fam.slots for j in range(r))
+    blocks = tuple(((i, j), (i, (j, j + 1))) for i, r in fam.slots for j in range(r))
     orders = tuple(
         (i, tuple((i, j) for j in range(r))) for i, r in fam.slots
     )
-    comps = tuple(
-        (i, tuple(itertools.chain.from_iterable((j, j + 1) for j in range(r))))
-        for i, r in fam.slots
-    )
-    return FamilyMor(fam, dst, phi, orders, comps)
+    return FamilyMor(fam, dst, blocks, orders)
 
 
 # --------------------------------------------------------------------------
@@ -771,12 +720,8 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             mor = FamilyMor(
                 fam,
                 single,
-                ((i, i),),
+                ((i, (i, tuple(range(r + 1)))),),
                 tuple((j, (i,) if j == i else ()) for j in fam.index),
-                tuple(
-                    (j, tuple(range(rr + 1)) if j == i else ())
-                    for j, rr in fam.slots
-                ),
             )
             # the action starts at fn.value(fam), the product's own carrier,
             # so both columns are indexed by the same elements
@@ -816,36 +761,29 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             if max(apex_cells, fine_cells) > max_cells:
                 skipped += 1
                 continue
-            to_fine_phi = tuple(((i, j), i) for (i, j), _ in fine.slots)
-            to_fine_orders = tuple(
-                (i, tuple((i, j) for j in range(len(ranks))))
-                for (i, _), ranks in zip(fam.slots, assignment)
-            )
-            to_fine_comps = []
-            for (i, _), ranks in zip(fam.slots, assignment):
-                images = []
-                off = 0
-                for r in ranks:
-                    images.extend(off + v for v in range(r + 1))
-                    off += r
-                to_fine_comps.append((i, tuple(images)))
+            # slot i of the apex is cut at these vertices into the pieces
+            # (i, j) of the fine family
+            cuts = [
+                tuple(itertools.accumulate(ranks, initial=0)) for ranks in assignment
+            ]
             to_fine = FamilyMor(
-                apex, fine, to_fine_phi, to_fine_orders, tuple(to_fine_comps)
+                apex,
+                fine,
+                tuple(
+                    ((i, j), (i, tuple(range(a, b + 1))))
+                    for i, c in zip(fam.index, cuts)
+                    for j, (a, b) in enumerate(itertools.pairwise(c))
+                ),
+                tuple(
+                    (i, tuple((i, j) for j in range(len(ranks))))
+                    for i, ranks in zip(fam.index, assignment)
+                ),
             )
             to_coarse = FamilyMor(
                 apex,
                 fam,
-                tuple((i, i) for i in fam.index),
+                tuple((i, (i, c)) for i, c in zip(fam.index, cuts)),
                 tuple((i, (i,)) for i in fam.index),
-                tuple(
-                    (
-                        i,
-                        tuple(
-                            sum(ranks[:t]) for t in range(len(ranks) + 1)
-                        ),
-                    )
-                    for (i, _), ranks in zip(fam.slots, assignment)
-                ),
             )
             long = long_edge_morphism(fine)
             units = unit_edges_morphism(fam)
@@ -870,8 +808,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             fam_cells = 1
             for r in ranks:
                 fam_cells *= len(x.level(r))
-            edge_cells = len(x.level(1)) ** total
-            if max(len(x.level(total - 1)), fam_cells, edge_cells) > max_cells:
+            if max(len(x.level(total - 1)), fam_cells) > max_cells:
                 skipped += 1
                 continue
             offs = [sum(ranks[:g]) for g in range(n + 1)]

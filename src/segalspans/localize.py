@@ -42,7 +42,6 @@ from .cycy import (
     family_union_cycle,
     lambda_star_compose,
     lambda_star_identity,
-    _ordsum_layout,
 )
 from .spanalg import DeltaStarMor, DeltaStarObj, all_delta_star_mors, identity_star
 from .report import Report
@@ -261,37 +260,33 @@ def localize_object(z):
 
 
 def _localize_delta(mu):
-    src_t = localize_object(mu.src)
-    dst_t = localize_object(mu.dst)
     ctx = IntervalContextMap(mu.src.interval, mu.dst.interval, mu.g)
-    phi = res(ctx).positions
-    i = mu.src.lo_pos
-    ip = mu.dst.lo_pos
+    i, ip = mu.src.lo_pos, mu.dst.lo_pos
     fpos = mu.src.base.positions
     f2pos = mu.dst.base.positions
     gbarpos = mu.gbar.positions
-    comps = []
-    for s in sorted(set(phi)):
-        block = [u for u, v in enumerate(phi) if v == s]
-        lo = f2pos[ip + block[0]]
-        hi = f2pos[ip + block[-1] + 1]
-        images = tuple(gbarpos[lo + y] - fpos[i + s] for y in range(hi - lo + 1))
-        comps.append((s, images))
-    return DeltaStarMor(src_t, dst_t, tuple(phi), tuple(comps))
+    # target slot u reads the fiber cells over its gap, counted from the
+    # bottom of the source slot s its gap lands in
+    blocks = []
+    for u, s in enumerate(res(ctx).positions):
+        cells = range(f2pos[ip + u], f2pos[ip + u + 1] + 1)
+        blocks.append((s, tuple(gbarpos[y] - fpos[i + s] for y in cells)))
+    return DeltaStarMor(localize_object(mu.src), localize_object(mu.dst), tuple(blocks))
 
 
 def _localize_family(mu):
     src_t = localize_object(mu.src)
-    dst_t = localize_object(mu.dst)
     f1, f2 = mu.src.base, mu.dst.base
     marked2 = mu.dst.marked
-    phi = tuple((q, mu.g(q)) for q in sorted(marked2, key=label_key))
     orders = []
-    comps = []
+    blocks = []
     for p in src_t.index:
+        # the fibers over g's fiber at p, glued in their order
         chain = mu.g.fiber(p)
         pos = {}
+        start = {}
         for s2 in chain:
+            start[s2] = len(pos)
             for u in f2.fiber(s2):
                 pos[u] = len(pos)
         marked_chain = tuple(q for q in chain if q in marked2)
@@ -299,24 +294,12 @@ def _localize_family(mu):
         gpos = [pos[mu.gbar(t)] for t in f1.fiber(p)]
         if any(a > b for a, b in zip(gpos, gpos[1:])):
             raise AssertionError("square produced an unordered fiber chain")
-        images = []
+        # vertex x of q counts the source fiber points that land before
+        # the x-th point of q's fiber in the chain
         for q in marked_chain:
-            off = pos[f2.fiber(q)[0]] if f2.fiber(q) else _chain_offset(f2, chain, q)
-            for x in range(len(f2.fiber(q)) + 1):
-                cutoff = off + x
-                images.append(sum(1 for v in gpos if v < cutoff))
-        comps.append((p, tuple(images)))
-    return FamilyMor(src_t, dst_t, phi, tuple(orders), tuple(comps))
-
-
-def _chain_offset(f2, chain, q):
-    # offset of q's (empty) block inside the glued fiber chain
-    off = 0
-    for s2 in chain:
-        if s2 == q:
-            return off
-        off += len(f2.fiber(s2))
-    raise AssertionError("marked point missing from its own chain")
+            cutoffs = range(start[q], start[q] + len(f2.fiber(q)) + 1)
+            blocks.append((q, (p, tuple(sum(1 for v in gpos if v < c) for c in cutoffs))))
+    return FamilyMor(src_t, localize_object(mu.dst), tuple(blocks), tuple(orders))
 
 
 def _positional_iso(cyc):
@@ -509,18 +492,11 @@ def is_identity_like(m):
     if isinstance(m, DeltaStarMor):
         return m.src == m.dst and m == identity_star(m.src)
     if isinstance(m, FamilyMor):
-        assign = dict(m.phi)
-        if len(set(assign.values())) != len(assign) or set(assign.values()) != set(
-            m.src.index
-        ):
+        reads = [p for _, (p, _) in m.blocks]
+        if len(set(reads)) != len(reads) or set(reads) != set(m.src.index):
             return False
-        for q, p in assign.items():
-            if m.dst.rank_of(q) != m.src.rank_of(p):
-                return False
-        for p in m.src.index:
-            if m.comp(p) != tuple(range(m.src.rank_of(p) + 1)):
-                return False
-        return True
+        src_ranks = m.src.ranks
+        return all(verts == tuple(range(src_ranks[p] + 1)) for _, (p, verts) in m.blocks)
     if isinstance(m, CycRankMor):
         return m.src.rank == m.dst.rank and m.op.is_iso()
     return False
@@ -600,12 +576,9 @@ def _factor_delta(z, g):
 
     # the glued fiber-side map gamma, read off block by block
     gamma = {}
-    for u in range(kp):
-        s = g.phi[u]
-        comp = g.comp(s)
-        off = g.block_offset(u)
-        for x in range(ranks_m[u] + 1):
-            val = (fpos[i + s] - fpos[i]) + comp[off + x]
+    for u, (s, verts) in enumerate(g.blocks):
+        for x, v in enumerate(verts):
+            val = (fpos[i + s] - fpos[i]) + v
             prev = gamma.get(ps_m[u] + x)
             if prev is not None and prev != val:
                 raise ValueError("g is not covering-compatible at a junction")
@@ -614,7 +587,7 @@ def _factor_delta(z, g):
     # split z at the minimal interval spanned by the hit slots; the new
     # window is one fresh slot per target block, flanked by one buffer
     # slot on each side soaking up the fiber slack around the image
-    hit0, hit_last = g.phi[0], g.phi[-1]
+    hit0, hit_last = g.blocks[0][0], g.blocks[-1][0]
     p = i + hit0
     q = i + hit_last + 1
     l1 = (fpos[i] + gamma[0]) - fpos[p]
@@ -637,7 +610,7 @@ def _factor_delta(z, g):
         fx[rb + r] = t3 + (fpos[q + r] - fpos[q])
     fx_images = tuple(fx[t] for t in range(n_x + 1))
 
-    below = [sum(1 for u in range(kp) if g.phi[u] < s) for s in range(k)]
+    below = [sum(1 for j, _ in g.blocks if j < s) for s in range(k)]
     phig = {}
     for t in range(p + 1):
         phig[t] = t
@@ -671,29 +644,24 @@ def _factor_delta(z, g):
     return x, phi
 
 
-def _region_runs(fiber, order, ranks, comp):
+def _region_runs(fiber, blocks):
     """Split an ordered fiber into fresh-block segments and leftovers.
 
-    Returns per-block element lists keyed by (block label, cut index)
-    plus leftover runs before, between, and after the blocks.
+    ``blocks`` lists (label, vertex list) along the fiber order; vertex
+    x of a block cuts the fiber before its x-th point.  Returns
+    per-block element lists keyed by (block label, cut index) plus
+    leftover runs before, between, and after the blocks.
     """
-    offs, _ = _ordsum_layout([ranks[q] for q in order])
-    cuts = {}
-    for b, q in enumerate(order):
-        for x in range(ranks[q] + 1):
-            cuts[(q, x)] = comp[offs[b] + x]
     fresh = {}
-    for b, q in enumerate(order):
-        for x in range(ranks[q]):
-            fresh[(q, x)] = fiber[cuts[(q, x)] : cuts[(q, x + 1)]]
+    for q, verts in blocks:
+        for x, (a, b) in enumerate(zip(verts, verts[1:])):
+            fresh[(q, x)] = fiber[a:b]
     runs = {}
-    if order:
-        runs["min"] = fiber[: cuts[(order[0], 0)]]
-        for b in range(len(order) - 1):
-            q, qn = order[b], order[b + 1]
-            runs[("after", q)] = fiber[cuts[(q, ranks[q])] : cuts[(qn, 0)]]
-        last = order[-1]
-        runs["max"] = fiber[cuts[(last, ranks[last])] :]
+    if blocks:
+        runs["min"] = fiber[: blocks[0][1][0]]
+        for (q, verts), (_, following) in zip(blocks, blocks[1:]):
+            runs[("after", q)] = fiber[verts[-1] : following[0]]
+        runs["max"] = fiber[blocks[-1][1][-1] :]
     else:
         runs["min"] = fiber
     return fresh, runs
@@ -714,6 +682,7 @@ def _factor_family(z, g):
     s_pts = f.dst.points
     marked = z.marked
     ranks = m.ranks
+    blocks = dict(g.blocks)
 
     s_x_fibers = []  # base-map fibers of the built square, per source point
     fx_fibers = []
@@ -726,7 +695,7 @@ def _factor_family(z, g):
             s_x_fibers.append((p, (("u", p),)))
             _carry(("u", p), f.fiber(p), fx_fibers, gbar_fibers)
             continue
-        fresh, runs = _region_runs(f.fiber(p), order, ranks, g.comp(p))
+        fresh, runs = _region_runs(f.fiber(p), [(q, blocks[q][1]) for q in order])
         window = []
         if runs["min"]:
             window.append(("rmin", p))
@@ -1241,29 +1210,14 @@ def _tuples_agree(delta_obj, family):
 
 
 def _mor_tuples_agree(delta_mor, fam_mor, src_lo, dst_lo):
-    kp = len(delta_mor.dst.ranks)
-    for u in range(kp):
-        if fam_mor.phi_of(dst_lo + u) != src_lo + delta_mor.phi[u]:
-            return False
-    for s in range(len(delta_mor.src.ranks)):
-        p = src_lo + s
-        order = fam_mor.fiber_order(p)
-        block = [u for u in range(kp) if delta_mor.phi[u] == s]
-        if order != tuple(dst_lo + u for u in block):
-            return False
-        if not block:
-            if fam_mor.comp(p) != ():
-                return False
-            continue
-        comp_d = delta_mor.comp(s)
-        comp_f = fam_mor.comp(p)
-        offs, _ = _ordsum_layout([delta_mor.dst.ranks[u] for u in block])
-        for b, u in enumerate(block):
-            shift = delta_mor.block_offset(u)
-            for x in range(delta_mor.dst.ranks[u] + 1):
-                if comp_f[offs[b] + x] != comp_d[shift + x]:
-                    return False
-    return True
+    # the same blocks, slots shifted to the gap labels, each fiber in
+    # slot order
+    shifted = tuple(
+        (dst_lo + u, (src_lo + s, verts)) for u, (s, verts) in enumerate(delta_mor.blocks)
+    )
+    return fam_mor.blocks == shifted and all(
+        list(order) == sorted(order) for _, order in fam_mor.fiber_orders
+    )
 
 
 # --------------------------------------------------------------------------

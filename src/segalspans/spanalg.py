@@ -2,10 +2,17 @@
 span algebra carried by a simplicial object.
 
 Objects are nonempty tuples of interval ranks.  A morphism into an
-l-tuple from a k-tuple consists of a monotone index map sending target
-slots to source slots together with, for each hit source slot, a
-monotone map from the end-to-end gluing of the target intervals over
-that slot into the source interval.
+l-tuple from a k-tuple is a list of l blocks, one per target slot: the
+source slot the target slot reads, and a vertex list naming a monotone
+map from the target interval into that source interval (the vertex
+list ``sobj.simplex_map`` takes).  The source slots are monotone in the
+target slot, and the target intervals over one source slot glue end to
+end, as checked on consecutive blocks: within a fiber they share their
+junction vertex; a block followed by a later fiber ends at the top of
+its interval, one preceded by an earlier fiber starts at the bottom,
+and source slots skipped in between have rank 0.  Composition reads
+every block through the block it lands on (``compose_blocks``), here
+and for the family morphisms of the cyclic layer.
 """
 
 from __future__ import annotations
@@ -34,10 +41,43 @@ from .finset import (
     tupled_values,
 )
 from .labels import label_key
-from .orders import all_lin_maps, standard_order
 from .report import Report
 from .segal import judge_bijection, square_instances
 from .sobj import simplex_map
+
+
+def check_rank(r):
+    """Validate an interval rank: an int, not a bool, and at least 0."""
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"rank {r!r} is not an int")
+    if r < 0:
+        raise ValueError(f"rank {r} is negative")
+    return r
+
+
+def check_block(where, verts, rank, top):
+    """Validate the vertex list of a block: a monotone [rank] -> [top]."""
+    if len(verts) != rank + 1:
+        raise ValueError(f"block at {where!r} has {len(verts)} vertices, not {rank + 1}")
+    for a, b in zip(verts, verts[1:]):
+        if a > b:
+            raise ValueError(f"block at {where!r} is not monotone")
+    if verts[0] < 0 or verts[-1] > top:
+        raise ValueError(f"block at {where!r} leaves the interval [{top}]")
+
+
+def compose_blocks(blocks, outer):
+    """The blocks of a composite g . f.
+
+    ``blocks`` are the (slot, vertex list) blocks of g, ``outer(j)`` the
+    block of f at slot j of the middle object; each block of g is read
+    through the block it lands on.
+    """
+    composite = []
+    for j, verts in blocks:
+        i, outer_verts = outer(j)
+        composite.append((i, tuple(map(outer_verts.__getitem__, verts))))
+    return tuple(composite)
 
 
 @dataclass(frozen=True)
@@ -45,11 +85,9 @@ class DeltaStarObj:
     ranks: tuple
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(map(check_rank, self.ranks))
         if not ranks:
             raise ValueError("tuple objects are nonempty")
-        if any(r < 0 for r in ranks):
-            raise ValueError("ranks are nonnegative")
         object.__setattr__(self, "ranks", ranks)
 
     def __len__(self):
@@ -60,90 +98,47 @@ class DeltaStarObj:
 class DeltaStarMor:
     src: DeltaStarObj
     dst: DeltaStarObj
-    phi: tuple  # source slot per target slot, monotone
-    comps: tuple  # ((source slot, images tuple), ...) for hit slots only
+    blocks: tuple  # (source slot, vertex list) per target slot
 
     def __post_init__(self):
-        phi = tuple(int(p) for p in self.phi)
-        comps = tuple((int(i), tuple(v)) for i, v in self.comps)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "comps", comps)
-        if len(phi) != len(self.dst):
-            raise ValueError("index map must cover every target slot")
-        if any(p < 0 or p >= len(self.src) for p in phi):
-            raise ValueError("index map out of range")
-        if any(phi[t] > phi[t + 1] for t in range(len(phi) - 1)):
-            raise ValueError("index map must be monotone")
-        hit = sorted(set(phi))
-        if tuple(i for i, _ in comps) != tuple(hit):
-            raise ValueError("need exactly one glued map per hit slot")
-        by_slot = dict(comps)
-        for i in hit:
-            dom = self.glued_rank(i)
-            images = by_slot[i]
-            if len(images) != dom + 1:
-                raise ValueError(f"glued map at slot {i} has wrong length")
-            if any(v < 0 or v > self.src.ranks[i] for v in images):
-                raise ValueError(f"glued map at slot {i} out of range")
-            if any(images[t] > images[t + 1] for t in range(dom)):
-                raise ValueError(f"glued map at slot {i} not monotone")
-            # reaching past the slot forces the glued map to an endpoint
-            if phi[-1] > i and images[-1] != self.src.ranks[i]:
-                raise ValueError(f"glued map at slot {i} must end at the top")
-            if phi[0] < i and images[0] != 0:
-                raise ValueError(f"glued map at slot {i} must start at the bottom")
-        for i in range(len(self.src)):
-            if i in by_slot:
+        blocks = tuple((i, tuple(verts)) for i, verts in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        src, dst = self.src.ranks, self.dst.ranks
+        if len(blocks) != len(dst):
+            raise ValueError("need one block per target slot")
+        for t, (i, verts) in enumerate(blocks):
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ValueError(f"block at {t} names source slot {i!r}, not an int")
+            if not 0 <= i < len(src):
+                raise ValueError(f"block at {t} reads source slot {i}, out of range")
+            check_block(t, verts, dst[t], src[i])
+        for t, ((i, a), (j, b)) in enumerate(zip(blocks, blocks[1:])):
+            if i == j:
+                if a[-1] != b[0]:
+                    raise ValueError(f"blocks at {t} and {t + 1} must share their junction")
                 continue
-            if hit and hit[0] < i < hit[-1] and self.src.ranks[i] != 0:
-                raise ValueError(f"skipped interior slot {i} must have rank 0")
-
-    def fiber(self, i):
-        return tuple(t for t, p in enumerate(self.phi) if p == i)
-
-    def glued_rank(self, i):
-        return sum(self.dst.ranks[t] for t in self.fiber(i))
-
-    def comp(self, i):
-        return dict(self.comps)[i]
-
-    def block_offset(self, t):
-        """Offset of target slot t inside the gluing over its source slot."""
-        i = self.phi[t]
-        return sum(self.dst.ranks[u] for u in self.fiber(i) if u < t)
+            if i > j:
+                raise ValueError("source slots must be monotone")
+            if a[-1] != src[i]:
+                raise ValueError(f"block at {t} must end at the top of slot {i}")
+            if b[0] != 0:
+                raise ValueError(f"block at {t + 1} must start at the bottom of slot {j}")
+            for s in range(i + 1, j):
+                if src[s] != 0:
+                    raise ValueError(f"skipped interior slot {s} must have rank 0")
 
     def compose(self, other):
         """self after other."""
         if other.dst != self.src:
             raise ValueError("composition mismatch")
-        # other: A -> B, self: B -> C
-        phi = tuple(other.phi[p] for p in self.phi)
-        covered = set(self.phi)
-        comps = []
-        for i in sorted(set(phi)):
-            images = []
-            started = False
-            for j in other.fiber(i):
-                if j not in covered:
-                    continue
-                block = [v + other.block_offset(j) for v in self.comp(j)]
-                if not started:
-                    images.extend(block)
-                    started = True
-                else:
-                    # consecutive blocks share their junction position
-                    images.extend(block[1:])
-            outer = dict(other.comps)[i]
-            comps.append((i, tuple(outer[v] for v in images)))
-        return DeltaStarMor(other.src, self.dst, phi, tuple(comps))
+        return DeltaStarMor(
+            other.src, self.dst, compose_blocks(self.blocks, other.blocks.__getitem__)
+        )
 
 
 def identity_star(obj):
     return DeltaStarMor(
-        obj,
-        obj,
-        tuple(range(len(obj))),
-        tuple((i, tuple(range(r + 1))) for i, r in enumerate(obj.ranks)),
+        obj, obj, tuple((i, tuple(range(r + 1))) for i, r in enumerate(obj.ranks))
     )
 
 
@@ -153,67 +148,61 @@ def assembly_mor(total, parts):
     dst = DeltaStarObj(tuple(parts))
     if sum(parts) != total:
         raise ValueError("parts must glue to the total rank")
-    return DeltaStarMor(
-        src, dst, (0,) * len(parts), ((0, tuple(range(total + 1))),)
-    )
+    cuts = itertools.pairwise(itertools.accumulate(parts, initial=0))
+    return DeltaStarMor(src, dst, tuple((0, tuple(range(a, b + 1))) for a, b in cuts))
 
 
 def single_interval_mor(a, b, images):
     """The morphism ([a]) -> ([b]) carrying a monotone map [b] -> [a]."""
-    return DeltaStarMor(
-        DeltaStarObj((a,)), DeltaStarObj((b,)), (0,), ((0, tuple(images)),)
-    )
+    return DeltaStarMor(DeltaStarObj((a,)), DeltaStarObj((b,)), ((0, tuple(images)),))
 
 
 def projection_mor(obj, i):
     return DeltaStarMor(
-        obj,
-        DeltaStarObj((obj.ranks[i],)),
-        (i,),
-        ((i, tuple(range(obj.ranks[i] + 1))),),
+        obj, DeltaStarObj((obj.ranks[i],)), ((i, tuple(range(obj.ranks[i] + 1))),)
     )
 
 
 def all_delta_star_mors(src, dst):
-    """Every morphism src -> dst; exhaustive, for small ranks only."""
+    """Every morphism src -> dst; exhaustive, for small ranks only.
+
+    Listed by index map, then by the glued map of each hit source slot:
+    the monotone map from the end-to-end gluing of its fiber, which the
+    fiber's blocks cut into pieces sharing their junctions.
+    """
     out = []
     k, l = len(src), len(dst)
     for phi in itertools.combinations_with_replacement(range(k), l):
         hit = sorted(set(phi))
-        if any(
-            hit[0] < i < hit[-1] and src.ranks[i] != 0
-            for i in range(k)
-            if i not in set(hit)
-        ):
+        if any(src.ranks[i] != 0 for i in range(hit[0] + 1, hit[-1]) if i not in hit):
             continue
-        per_slot = []
-        ok = True
+        pools = []
         for i in hit:
             fiber = [t for t, p in enumerate(phi) if p == i]
-            dom = sum(dst.ranks[t] for t in fiber)
-            cands = [
-                tuple(m.positions)
-                for m in all_lin_maps(standard_order(dom), standard_order(src.ranks[i]))
-            ]
-            if phi[-1] > i:
-                cands = [c for c in cands if c[-1] == src.ranks[i]]
-            if phi[0] < i:
-                cands = [c for c in cands if c[0] == 0]
-            if not cands:
-                ok = False
-                break
-            per_slot.append((i, cands))
-        if not ok:
-            continue
-        for choice in itertools.product(*(c for _, c in per_slot)):
-            comps = tuple((i, c) for (i, _), c in zip(per_slot, choice))
-            out.append(DeltaStarMor(src, dst, phi, comps))
+            cands = itertools.combinations_with_replacement(
+                range(src.ranks[i] + 1), sum(dst.ranks[t] for t in fiber) + 1
+            )
+            pools.append([
+                c for c in cands
+                if (phi[-1] == i or c[-1] == src.ranks[i]) and (phi[0] == i or c[0] == 0)
+            ])
+        # where each target slot's piece starts in its glued map
+        starts = []
+        for t, i in enumerate(phi):
+            starts.append(starts[-1] + dst.ranks[t - 1] if t and phi[t - 1] == i else 0)
+        slot = {i: n for n, i in enumerate(hit)}
+        for glued in itertools.product(*pools):
+            blocks = tuple(
+                (i, glued[slot[i]][a : a + r + 1])
+                for i, a, r in zip(phi, starts, dst.ranks)
+            )
+            out.append(DeltaStarMor(src, dst, blocks))
     return out
 
 
 class StarFunctor:
     """The set-valued functor: tuples go to products of simplex levels,
-    morphisms act by the glued structure maps slotwise."""
+    morphisms act slotwise by the structure maps of their blocks."""
 
     def __init__(self, x):
         self.x = x
@@ -224,15 +213,11 @@ class StarFunctor:
         return product_carrier([self.x.level(r) for r in obj.ranks])
 
     def action(self, mor):
-        src_v = self.value(mor.src)
-        dst_v = self.value(mor.dst)
-        slot_maps = []
-        for t, r in enumerate(mor.dst.ranks):
-            # target slot t reads its block of the glued map over slot i
-            i, off = mor.phi[t], mor.block_offset(t)
-            piece = simplex_map(self.x, mor.src.ranks[i], mor.comp(i)[off : off + r + 1])
-            slot_maps.append((i, piece.as_dict()))
-        return slotwise_map(src_v, dst_v, slot_maps)
+        slot_maps = [
+            (i, simplex_map(self.x, mor.src.ranks[i], verts).as_dict())
+            for i, verts in mor.blocks
+        ]
+        return slotwise_map(self.value(mor.src), self.value(mor.dst), slot_maps)
 
 
 def check_algebra_conditions(x, report=None, fan_triples=None):
@@ -256,14 +241,10 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
             big, n, tuple(p if p < j else p + m - 1 for p in range(n + 1))
         )
         asm_n = assembly_mor(n, ones.ranks)
-        slot_maps = []
-        for t in range(n):
-            if t == j - 1:
-                slot_maps.append((t, (0, m)))
-            else:
-                slot_maps.append((t, (0, 1)))
         to_ones = DeltaStarMor(
-            tuple_obj, ones, tuple(range(n)), tuple(slot_maps)
+            tuple_obj,
+            ones,
+            tuple((t, (0, m) if t == j - 1 else (0, 1)) for t in range(n)),
         )
         if to_ones.compose(asm_big) != asm_n.compose(outer):
             raise AssertionError("reduced square does not commute")

@@ -206,7 +206,7 @@ def test_empty_family_is_terminal():
     # the empty product cone: exactly one collapse from any family
     collapses = list(all_lambda_star_mors(fa, empty))
     assert len(collapses) == 1
-    assert collapses[0].phi == ()
+    assert collapses[0].blocks == ()
     for f in all_lambda_star_mors(c1, c1):
         assert lambda_star_compose(degenerate, f) == CycToFamilyMor(
             c1, empty, None, None
@@ -218,12 +218,61 @@ def test_invalid_morphism_data_rejected():
     fb = FamilyObj(((0, 1), (1, 1)))
     with pytest.raises(ValueError):
         # fiber order fails to list the whole fiber
-        FamilyMor(fa, fb, ((0, 0), (1, 0)), ((0, (0,)),), ((0, (0, 0, 1, 1)),))
+        FamilyMor(fa, fb, ((0, (0, (0, 0))), (1, (0, (1, 1)))), ((0, (0,)),))
     with pytest.raises(ValueError):
-        # non-monotone gluing map
-        FamilyMor(fa, fa, ((0, 0),), ((0, (0,)),), ((0, (1, 0)),))
+        # non-monotone block
+        FamilyMor(fa, fa, ((0, (0, (1, 0))),), ((0, (0,)),))
     with pytest.raises(ValueError):
         CycToFamilyMor(CyclicRank(0), FamilyObj(()), CycOrd((0,)), None)
+
+
+FA = FamilyObj(((0, 1),))
+FB = FamilyObj(((0, 1), (1, 1)))
+
+# one input per ValueError branch of the family constructors that is not
+# shared with tuple morphisms (test_spanalg), with its exact message
+MALFORMED_FAMILIES = [
+    ("uncovered target index",
+     lambda: FamilyMor(FA, FB, ((0, (0, (0, 1))),), ((0, (0,)),)),
+     "need one block per target index"),
+    ("block reading no source index",
+     lambda: FamilyMor(FA, FA, ((0, (5, (0, 1))),), ((0, (0,)),)),
+     "block at 0 reads 5, not a source index"),
+    ("source index without a fiber order",
+     lambda: FamilyMor(FA, FA, ((0, (0, (0, 1))),), ()),
+     "need one fiber order per source index"),
+    ("fiber order missing a target",
+     lambda: FamilyMor(FA, FB, ((0, (0, (0, 0))), (1, (0, (1, 1)))), ((0, (0,)),)),
+     "fiber order at 0 does not list the fiber"),
+    ("blocks decreasing along the fiber",
+     lambda: FamilyMor(FA, FB, ((0, (0, (0, 1))), (1, (0, (0, 1)))), ((0, (0, 1)),)),
+     "blocks at 0 and 1 decrease along the fiber"),
+    ("repeated index label",
+     lambda: FamilyObj(((0, 1), (0, 2))),
+     "repeated index label"),
+    ("negative family rank", lambda: FamilyObj(((0, -1),)), "rank -1 is negative"),
+    ("float family rank", lambda: FamilyObj(((0, 1.5),)), "rank 1.5 is not an int"),
+    ("bool family rank", lambda: FamilyObj(((0, True),)), "rank True is not an int"),
+    ("float cyclic rank", lambda: CyclicRank(1.5), "rank 1.5 is not an int"),
+    ("negative cyclic rank", lambda: CyclicRank(-1), "rank -1 is negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [c[1:] for c in MALFORMED_FAMILIES],
+    ids=[c[0] for c in MALFORMED_FAMILIES],
+)
+def test_malformed_family_input_raises(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_valid_family_objects_print_as_before():
+    assert repr(FamilyObj((("b", 1), ("a", 0)))) == "FamilyObj(slots=(('a', 0), ('b', 1)))"
+    assert repr(CyclicRank(2)) == "CyclicRank(rank=2)"
 
 
 # --------------------------------------------------------------------------
@@ -259,13 +308,13 @@ def test_edge_decomposition_shapes():
     assert all(r == 1 for _, r in sigma.dst.slots)
     fam = FamilyObj(((0, 2),))
     t = long_edge_morphism(fam)
-    assert t.comp(0) == (0, 2)
+    assert t.blocks == ((0, (0, (0, 2))),)
     s = unit_edges_morphism(fam)
-    assert s.comp(0) == (0, 1, 1, 2)
+    assert s.blocks == (((0, 0), (0, (0, 1))), ((0, 1), (0, (1, 2))))
     # a rank-0 slot contributes no unit edges
     s0 = unit_edges_morphism(FamilyObj(((0, 0),)))
     assert len(s0.dst) == 0
-    assert s0.comp(0) == ()
+    assert s0.blocks == () and s0.fiber_orders == ((0, ()),)
 
 
 def test_edge_decomposition_action(z2_fn):
@@ -282,20 +331,102 @@ def test_long_and_unit_edge_actions(z2_fn):
     assert s(((1, 0, 1),)) == ((0, 0), (1, 1))
 
 
+def ordsum_encoding(mor):
+    """A family morphism in the ordinal-sum encoding: the index map, the
+    fiber orders, and for each source index the monotone map from the
+    ordinal sum of its fiber's intervals, laid out disjointly in the
+    fiber order.  Rebuilt here from the blocks as a reference."""
+    blocks = dict(mor.blocks)
+    phi = {t: i for t, (i, _) in mor.blocks}
+    orders = dict(mor.fiber_orders)
+    comps = {
+        i: tuple(v for t in order for v in blocks[t][1]) for i, order in orders.items()
+    }
+    return phi, orders, comps
+
+
+def _ordsum_offset(ranks, order, t):
+    # where t's interval starts inside the ordinal sum of its fiber
+    return sum(ranks[u] + 1 for u in order[: order.index(t)])
+
+
+def ordsum_compose(g, f, mid_ranks):
+    """g after f on ordinal-sum encodings, by the ordinal-sum
+    composition formula; mid_ranks are the ranks of the middle family."""
+    (phi_g, orders_g, comps_g), (phi_f, orders_f, comps_f) = g, f
+    phi = {u: phi_f[j] for u, j in phi_g.items()}
+    orders = {
+        i: tuple(u for j in order for u in orders_g[j]) for i, order in orders_f.items()
+    }
+    comps = {
+        i: tuple(
+            comps_f[i][_ordsum_offset(mid_ranks, order, j) + v]
+            for j in order
+            for v in comps_g[j]
+        )
+        for i, order in orders_f.items()
+    }
+    return phi, orders, comps
+
+
+def ordsum_compose_after_round(g, f):
+    """A family morphism g after a cyclic-to-family morphism f, by the
+    ordinal-sum formula: the glued cycle of g's target maps to that of
+    its source through the ordinal-sum maps."""
+    if len(g.dst) == 0:
+        return CycToFamilyMor(f.src, g.dst, None, None)
+    phi, orders, comps = ordsum_encoding(g)
+    ranks = g.dst.ranks
+    cycle = CycOrd(tuple(k for j in f.cycle.cycle for k in orders[j]))
+    union = family_union_cycle(g.dst, cycle)
+    fibers = {e: [] for e in f.op.src.cycle}
+    for j in f.cycle.cycle:
+        for k in orders[j]:
+            off = _ordsum_offset(ranks, orders[phi[k]], k)
+            for x in range(ranks[k] + 1):
+                fibers[(phi[k], comps[phi[k]][off + x])].append((k, x))
+    glue = CycMap(union, f.op.src, tuple((e, tuple(v)) for e, v in fibers.items()))
+    return CycToFamilyMor(f.src, g.dst, cycle, f.op.compose(glue))
+
+
+def test_block_composition_matches_ordinal_sum_composition():
+    """Composing blocks gives the morphism the ordinal-sum formulas
+    give, on every composable pair ending in a family morphism."""
+    fa = FamilyObj(((0, 1),))
+    fb = FamilyObj((("a", 0), ("b", 1)))
+    objs = [CyclicRank(0), CyclicRank(1), FamilyObj(()), fa, fb]
+    fams = [FamilyObj(()), fa, fb]
+    pairs = 0
+    for a, b, c in itertools.product(objs, fams, fams):
+        for f in all_lambda_star_mors(a, b):
+            for g in all_lambda_star_mors(b, c):
+                got = lambda_star_compose(g, f)
+                if isinstance(f, FamilyMor):
+                    want = ordsum_compose(
+                        ordsum_encoding(g), ordsum_encoding(f), b.ranks
+                    )
+                    assert ordsum_encoding(got) == want
+                else:
+                    assert got == ordsum_compose_after_round(g, f)
+                pairs += 1
+    assert pairs == 945
+
+
 def _family_action_per_element(fn, mor):
     """Reference action of a family morphism, one source tuple at a time.
 
     Target slot t reads the glued map over its source slot i after the
     inclusion of t's block into the ordinal sum of i's fiber.
     """
+    phi, orders, comps = ordsum_encoding(mor)
     slot_maps = []
     for t in mor.dst.index:
-        i = mor.phi_of(t)
-        order = mor.fiber_order(i)
+        i = phi[t]
+        order = orders[i]
         sizes = [mor.dst.rank_of(u) + 1 for u in order]
         off = sum(sizes[: order.index(t)])
         glued_sum = standard_order(sum(sizes) - 1)
-        glued = LinMap(glued_sum, standard_order(mor.src.rank_of(i)), mor.comp(i))
+        glued = LinMap(glued_sum, standard_order(mor.src.rank_of(i)), comps[i])
         rank = mor.dst.rank_of(t)
         block = LinMap(standard_order(rank), glued_sum, tuple(range(off, off + rank + 1)))
         piece = apply_delta_op(fn.x, glued.compose(block))
@@ -437,7 +568,7 @@ SKIP_NOTE = re.compile(r"(\d+) oversized instances skipped")
 # oversized instances skipped per group at the default budget and
 # max_cells, recorded before the subdivision squares were judged on
 # positions; a faster check must not come from checking less
-PINNED_CY_SKIPS = {"triv": 0, "z2": 0, "z3": 4, "z4": 44, "v4": 44}
+PINNED_CY_SKIPS = {"triv": 0, "z2": 0, "z3": 4, "z4": 37, "v4": 37}
 
 
 def test_check_cy_all_small_groups_smoke():

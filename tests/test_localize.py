@@ -82,8 +82,7 @@ def test_interval_square_collapse():
         za, zb, LinMap(AMB1, AMB1, (0, 1)), LinMap(standard_order(1), standard_order(2), (0, 2))
     )
     lm = localize_morphism(mu)
-    assert lm.phi == (0,)
-    assert lm.comp(0) == (0, 2)
+    assert lm.blocks == ((0, (0, 2)),)
 
 
 def test_pointed_square_collapse_and_E():
@@ -92,15 +91,14 @@ def test_pointed_square_collapse_and_E():
     g = AssMor(z2.base.dst, z1.base.dst, (("p", ("q",)),))
     mu = OmegaMorLambda(z1, z2, g, AssMor(z1.carrier, z2.carrier, (("x", ("u",)), ("y", ("v",)))))
     lam = localize_morphism(mu)
-    assert lam.phi_of("q") == "p"
+    assert lam.blocks == (("q", ("p", (0, 1, 2))),)
     assert lam.fiber_order("p") == ("q",)
-    assert lam.comp("p") == (0, 1, 2)
     assert is_in_E(mu).verdict
     assert is_identity_like(lam)
 
     # both source points land in x's fiber: no longer an order iso
     mu2 = OmegaMorLambda(z1, z2, g, AssMor(z1.carrier, z2.carrier, (("x", ("u", "v")), ("y", ()))))
-    assert localize_morphism(mu2).comp("p") == (0, 2, 2)
+    assert localize_morphism(mu2).blocks == (("q", ("p", (0, 2, 2))),)
     verdict = is_in_E(mu2)
     assert not verdict.verdict and verdict.reason == "fiber-order-iso"
 
@@ -157,7 +155,7 @@ def test_identity_factorization_reproduces_the_initial_row():
 
 def test_minimal_interval_factorization():
     z = interval_row(AMB1, 0, 1, 3, (0, 3))
-    g = DeltaStarMor(DeltaStarObj((3,)), DeltaStarObj((1,)), (0,), ((0, (1, 2)),))
+    g = DeltaStarMor(DeltaStarObj((3,)), DeltaStarObj((1,)), ((0, (1, 2)),))
     x, phi = universal_factorization(z, g)
     assert x.base.positions == (0, 1, 2, 3)
     assert (x.lo_pos, x.hi_pos) == (1, 2)
@@ -183,7 +181,7 @@ def test_family_factorization_with_leftovers():
     # the fiber (u, v, w) keeps only its middle element
     z = pointed_row("p", ("u", "v", "w"))
     m = FamilyObj((("q", 1),))
-    g = FamilyMor(localize_object(z), m, (("q", "p"),), (("p", ("q",)),), (("p", (1, 2)),))
+    g = FamilyMor(localize_object(z), m, (("q", ("p", (1, 2))),), (("p", ("q",)),))
     x, phi = universal_factorization(z, g)
     assert localize_morphism(phi) == g
     assert localize_object(x) == m

@@ -139,6 +139,23 @@ def test_every_relative_import_is_used():
     assert not unused, unused
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore-prefixed name is private to its module, wherever the
+    # import statement sits
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("segalspans")
+            ):
+                private += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, private
+
+
 def test_benchmark_tracer_finds_every_target(monkeypatch):
     # the benchmark's tracer wraps named functions of the package and
     # raises LookupError on entry when one was renamed or deleted

@@ -45,9 +45,9 @@ def test_identity_and_basic_mors():
     ident = identity_star(obj)
     assert ident.compose(ident) == ident
     asm = assembly_mor(3, (2, 1))
-    assert asm.fiber(0) == (0, 1)
+    assert asm.blocks == ((0, (0, 1, 2)), (0, (2, 3)))
     proj = projection_mor(obj, 1)
-    assert proj.phi == (1,)
+    assert proj.blocks == ((1, (0, 1)),)
 
 
 def test_mor_validation_rules():
@@ -59,31 +59,91 @@ def test_mor_validation_rules():
         DeltaStarMor(
             DeltaStarObj((1, 2, 1)),
             DeltaStarObj((1, 1)),
-            (0, 2),
             ((0, (0, 1)), (2, (0, 1))),
         )
     # fine when the skipped slot has rank zero
     DeltaStarMor(
         DeltaStarObj((1, 0, 1)),
         DeltaStarObj((1, 1)),
-        (0, 2),
         ((0, (0, 1)), (2, (0, 1))),
     )
-    # boundary-hitting: a later hit slot forces the earlier glued map to
-    # end at the top of its interval
+    # boundary-hitting: a later hit slot forces the earlier block to end
+    # at the top of its interval
     with pytest.raises(ValueError):
         DeltaStarMor(
             DeltaStarObj((2, 1)),
             DeltaStarObj((1, 1)),
-            (0, 1),
             ((0, (0, 1)), (1, (0, 1))),
         )
     DeltaStarMor(
         DeltaStarObj((2, 1)),
         DeltaStarObj((1, 1)),
-        (0, 1),
         ((0, (0, 2)), (1, (0, 1))),
     )
+
+
+D = DeltaStarObj
+
+# one input per ValueError branch of the tuple constructors, with the
+# exact message it must raise
+MALFORMED_TUPLES = [
+    ("uncovered target slot",
+     lambda: DeltaStarMor(D((1,)), D((1, 1)), ((0, (0, 1)),)),
+     "need one block per target slot"),
+    ("source slot out of range",
+     lambda: DeltaStarMor(D((1,)), D((1,)), ((1, (0, 1)),)),
+     "block at 0 reads source slot 1, out of range"),
+    ("index map not monotone",
+     lambda: DeltaStarMor(D((1, 1)), D((1, 1)), ((1, (0, 1)), (0, (0, 1)))),
+     "source slots must be monotone"),
+    ("block of the wrong length",
+     lambda: DeltaStarMor(D((2,)), D((1,)), ((0, (0, 1, 2)),)),
+     "block at 0 has 3 vertices, not 2"),
+    ("vertex out of range",
+     lambda: DeltaStarMor(D((2,)), D((1,)), ((0, (0, 3)),)),
+     "block at 0 leaves the interval [2]"),
+    ("block not monotone",
+     lambda: DeltaStarMor(D((2,)), D((1,)), ((0, (2, 1)),)),
+     "block at 0 is not monotone"),
+    ("junction mismatch",
+     lambda: DeltaStarMor(D((2,)), D((1, 1)), ((0, (0, 1)), (0, (2, 2)))),
+     "blocks at 0 and 1 must share their junction"),
+    ("block short of the top before a later fiber",
+     lambda: DeltaStarMor(D((2, 1)), D((1, 1)), ((0, (0, 1)), (1, (0, 1)))),
+     "block at 0 must end at the top of slot 0"),
+    ("block above the bottom after an earlier fiber",
+     lambda: DeltaStarMor(D((2, 1)), D((1, 1)), ((0, (0, 2)), (1, (1, 1)))),
+     "block at 1 must start at the bottom of slot 1"),
+    ("skipped interior slot of positive rank",
+     lambda: DeltaStarMor(D((1, 2, 1)), D((1, 1)), ((0, (0, 1)), (2, (0, 1)))),
+     "skipped interior slot 1 must have rank 0"),
+    ("float source slot",
+     lambda: DeltaStarMor(D((1,)), D((1,)), ((0.0, (0, 1)),)),
+     "block at 0 names source slot 0.0, not an int"),
+    ("bool source slot",
+     lambda: DeltaStarMor(D((1, 1)), D((1,)), ((True, (0, 1)),)),
+     "block at 0 names source slot True, not an int"),
+    ("empty tuple", lambda: D(()), "tuple objects are nonempty"),
+    ("negative rank", lambda: D((1, -1)), "rank -1 is negative"),
+    ("float rank", lambda: D((1.7, True)), "rank 1.7 is not an int"),
+    ("bool rank", lambda: D((1, True)), "rank True is not an int"),
+    ("str rank", lambda: D(("2",)), "rank '2' is not an int"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [c[1:] for c in MALFORMED_TUPLES], ids=[c[0] for c in MALFORMED_TUPLES]
+)
+def test_malformed_tuple_input_raises(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_valid_tuple_objects_print_as_before():
+    assert repr(D((2, 0, 1))) == "DeltaStarObj(ranks=(2, 0, 1))"
+    assert D([1, 2]) == D((1, 2))
 
 
 def test_enumeration_counts():
@@ -122,24 +182,75 @@ def test_functor_value_sizes():
         f.value(DeltaStarObj((4,)))
 
 
+def glued_encoding(mor):
+    """A tuple morphism in the glued encoding: the index map, and for
+    each hit source slot the monotone map from the end-to-end gluing of
+    the target intervals over it, consecutive blocks sharing their
+    junction vertex.  Rebuilt here from the blocks as a reference."""
+    phi = tuple(i for i, _ in mor.blocks)
+    glued = {}
+    for i, verts in mor.blocks:
+        glued[i] = glued[i] + verts[1:] if i in glued else verts
+    return phi, tuple(sorted(glued.items()))
+
+
+def _glued_offset(phi, ranks, t):
+    # where target slot t starts inside the gluing over its source slot
+    return sum(ranks[u] for u in range(t) if phi[u] == phi[t])
+
+
+def glued_compose(g, f, mid_ranks):
+    """g after f on glued encodings, by the glued composition formula;
+    mid_ranks are the ranks of the middle tuple."""
+    (phi_g, comps_g), (phi_f, comps_f) = g, f
+    comps_g, comps_f = dict(comps_g), dict(comps_f)
+    phi = tuple(phi_f[j] for j in phi_g)
+    comps = []
+    for i in sorted(set(phi)):
+        images = []
+        for j in (j for j, p in enumerate(phi_f) if p == i and j in comps_g):
+            block = [v + _glued_offset(phi_f, mid_ranks, j) for v in comps_g[j]]
+            # consecutive blocks share their junction position
+            images.extend(block[1:] if images else block)
+        comps.append((i, tuple(comps_f[i][v] for v in images)))
+    return phi, tuple(comps)
+
+
 def _star_action_per_element(f, mor):
     """Reference action of a tuple morphism, one source tuple at a time.
 
-    Target slot t reads source slot i = phi[t] through the gluing map of
-    slot i restricted to the block of t.
+    Target slot t reads source slot i through the glued map of slot i
+    after the inclusion of t's block into the gluing.
     """
+    phi, comps = glued_encoding(mor)
+    comps = dict(comps)
     slot_maps = []
-    for t, i in enumerate(mor.phi):
-        off, rank = mor.block_offset(t), mor.dst.ranks[t]
-        piece = LinMap(
-            standard_order(rank),
-            standard_order(mor.src.ranks[i]),
-            mor.comp(i)[off : off + rank + 1],
-        )
-        slot_maps.append((i, apply_delta_op(f.x, piece)))
+    for t, i in enumerate(phi):
+        rank = mor.dst.ranks[t]
+        glued_sum = standard_order(len(comps[i]) - 1)
+        glued = LinMap(glued_sum, standard_order(mor.src.ranks[i]), comps[i])
+        off = _glued_offset(phi, mor.dst.ranks, t)
+        block = LinMap(standard_order(rank), glued_sum, tuple(range(off, off + rank + 1)))
+        slot_maps.append((i, apply_delta_op(f.x, glued.compose(block))))
     return tuple(
         tuple(m(tup[i]) for i, m in slot_maps) for tup in f.value(mor.src)
     )
+
+
+def test_block_composition_matches_glued_composition():
+    """Composing blocks gives the morphism the glued formula gives, on
+    every composable pair among small tuples."""
+    objs = _UNIVERSE + [DeltaStarObj((2, 1)), DeltaStarObj((1, 0, 1))]
+    homs = {(a, b): all_delta_star_mors(a, b) for a in objs for b in objs}
+    pairs = 0
+    for a, b, c in itertools.product(objs, repeat=3):
+        for f in homs[(a, b)]:
+            glued_f = glued_encoding(f)
+            for g in homs[(b, c)]:
+                want = glued_compose(glued_encoding(g), glued_f, b.ranks)
+                assert glued_encoding(g.compose(f)) == want
+                pairs += 1
+    assert pairs == 22799
 
 
 def test_functor_respects_composition_exhaustive():
