@@ -45,7 +45,7 @@ from .orders import (
     identity_cyc,
     standard_cycle,
 )
-from .dualities import PointedMap, PointedSet
+from .dualities import PointedSet
 from .report import Report
 from .sobj import CycObj, apply_lambda_op, simplex_map
 from .segal import judge_bijection, judge_pullback_bijection
@@ -114,12 +114,6 @@ class AssMor:
         if x in self.src.points:
             return BASE
         raise ValueError(f"{x!r} is not in the source")
-
-    @property
-    def pointed(self):
-        return PointedMap(
-            self.src, self.dst, tuple(self(x) for x in self.src.points)
-        )
 
     def compose(self, other):
         """self after other; ordered fibers concatenate."""
@@ -657,17 +651,22 @@ def unit_edges_morphism(fam):
 # condition checks
 
 
+# bounds of the instances check_cy_conditions enumerates
+CY_BUDGET = 2
+CY_MAX_CELLS = 20000
+
+
 def _gap_rank_instances(gap_count, cap, level_cap):
     for ranks in itertools.product(range(cap + 1), repeat=gap_count):
         if sum(ranks) <= level_cap:
             yield ranks
 
 
-def _family_universe(n_top, budget):
+def _family_universe(n_top):
     pools = [(0,), (0, 1)]
     for pool in pools:
         for ranks in itertools.product(
-            range(min(budget, n_top) + 1), repeat=len(pool)
+            range(min(CY_BUDGET, n_top) + 1), repeat=len(pool)
         ):
             yield FamilyObj(tuple(zip(pool, ranks)))
 
@@ -691,7 +690,7 @@ def _judge_subdivision(fn, rep, check, loc, to_fine, to_coarse, long, units):
     )
 
 
-def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
+def check_cy_conditions(x):
     """Product cones, subdivision pullbacks, rotation bijections and
     non-degeneracy for a cyclic object.
 
@@ -699,11 +698,13 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
     bijection.  Both kinds (cell and cyclic) are judged on element
     positions in the products of levels: neither the fiber product nor
     any corner product is built, and labels are decoded only for a
-    witness.  ``budget`` bounds index-set sizes and slot ranks of the
+    witness.  ``CY_BUDGET`` bounds index-set sizes and slot ranks of the
     enumerated instances; comparisons whose corners would exceed
-    ``max_cells`` elements are skipped and counted in the scope notes.
+    ``CY_MAX_CELLS`` elements are skipped and counted in the scope notes.
+    The findings and scope notes of ``check_nondegeneracy`` are merged
+    in, the notes prefixed by its report title.
     """
-    rep = report if report is not None else Report("cyclic algebra conditions")
+    rep = Report("cyclic algebra conditions")
     if x.top_rank < 3:
         raise ValueError("truncation too low for cyclic algebra checks")
     fn = LambdaStarFunctor(x)
@@ -713,7 +714,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
     empty = FamilyObj(())
     if len(fn.value(empty)) != 1:
         rep.fail("empty-product", (), detail="empty family misses the point")
-    for fam in _family_universe(n_top, budget):
+    for fam in _family_universe(n_top):
         _, projs = big_product([x.level(r) for _, r in fam.slots])
         for pos, (i, r) in enumerate(fam.slots):
             single = FamilyObj(((i, r),))
@@ -731,9 +732,9 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                 rep.fail("product-cone", (fam.slots, i),
                          detail="slot projection disagrees with the product")
 
-    for fam in _family_universe(n_top, budget):
+    for fam in _family_universe(n_top):
         gap_lists = [
-            list(_gap_rank_instances(r, budget, n_top)) for _, r in fam.slots
+            list(_gap_rank_instances(r, CY_BUDGET, n_top)) for _, r in fam.slots
         ]
         for assignment in itertools.product(*gap_lists):
             loc = tuple(
@@ -758,7 +759,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             fine_cells = 1
             for _, r in fine.slots:
                 fine_cells *= len(x.level(r))
-            if max(apex_cells, fine_cells) > max_cells:
+            if max(apex_cells, fine_cells) > CY_MAX_CELLS:
                 skipped += 1
                 continue
             # slot i of the apex is cut at these vertices into the pieces
@@ -797,8 +798,8 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
                 fn, rep, "cell-subdivision", loc, to_fine, to_coarse, long, units
             )
 
-    for n in range(min(n_top, budget) + 1):
-        for ranks in itertools.product(range(budget + 1), repeat=n + 1):
+    for n in range(min(n_top, CY_BUDGET) + 1):
+        for ranks in itertools.product(range(CY_BUDGET + 1), repeat=n + 1):
             total = sum(ranks)
             if total == 0 or total - 1 > n_top:
                 continue
@@ -808,7 +809,7 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             fam_cells = 1
             for r in ranks:
                 fam_cells *= len(x.level(r))
-            if max(len(x.level(total - 1)), fam_cells) > max_cells:
+            if max(len(x.level(total - 1)), fam_cells) > CY_MAX_CELLS:
                 skipped += 1
                 continue
             offs = [sum(ranks[:g]) for g in range(n + 1)]
@@ -890,9 +891,9 @@ def check_cy_conditions(x, report=None, budget=2, max_cells=20000):
             pb,
         )
 
-    check_nondegeneracy(x, rep)
+    rep.extend(check_nondegeneracy(x))
     rep.note_scope(
-        f"budget {budget}, truncation {n_top}, {skipped} oversized instances skipped"
+        f"budget {CY_BUDGET}, truncation {n_top}, {skipped} oversized instances skipped"
     )
     return rep
 
@@ -940,14 +941,14 @@ def _chain_spans(parts):
     return out
 
 
-def check_nondegeneracy(x, report=None):
+def check_nondegeneracy(x):
     """Bijective-legs and zig-zag criteria for the trace pairing.
 
     Both criteria are computed independently; a verdict mismatch is
     flagged as an internal error since they are two readings of the same
     non-degeneracy condition.
     """
-    rep = report if report is not None else Report("non-degeneracy")
+    rep = Report("non-degeneracy")
     if x.top_rank < 3:
         raise ValueError("truncation too low for non-degeneracy checks")
     x1 = x.level(1)

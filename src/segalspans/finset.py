@@ -284,9 +284,6 @@ class FinDiagram:
             if m.src != byname[s] or m.dst != byname[d]:
                 raise ValueError("arrow map does not match its endpoints")
 
-    def node(self, name):
-        return dict(self.nodes)[name]
-
 
 def limit(diagram):
     """Limit of a finite diagram of finite sets.
@@ -446,7 +443,7 @@ def tensor_spans(s, t):
     """Componentwise product of two spans, with pair labels throughout."""
     lo, _, _ = product_set(s.left_obj, t.left_obj)
     ro, _, _ = product_set(s.right_obj, t.right_obj)
-    ap, a1, a2 = product_set(s.apex, t.apex)
+    ap, _, _ = product_set(s.apex, t.apex)
     ll = slotwise_map(ap, lo, ((0, s.left_leg._lookup()), (1, t.left_leg._lookup())))
     rl = slotwise_map(ap, ro, ((0, s.right_leg._lookup()), (1, t.right_leg._lookup())))
     return Span(lo, ro, ap, ll, rl)

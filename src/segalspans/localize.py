@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .finset import trusted
 from .labels import BASE, label_key
@@ -49,28 +49,36 @@ from .report import Report
 
 @dataclass(frozen=True)
 class LocalizeBudget:
-    """Enumeration bounds for the brute-force verification sweeps.
+    """Enumeration bounds for the brute-force verification sweeps:
+    ambient rank, tuple length, fiber size and dead points per row,
+    each an int (not a bool) and at least 0.
 
-    The first four fields bound the enumerated universes: ambient rank,
-    tuple length, fiber size, and dead points per row.  Hom sets grow so
-    fast with these bounds that quantifying every claim over every
-    composable pair is out of reach well before the default universe
-    (the composable pairs alone number in the billions), so the
-    verification sweep is tiered: claims quantified over single squares
-    run on the whole universe, while claims quantified over pairs of
-    squares run exhaustively on the sub-universe of rows whose weight
-    (ambient size plus fiber size) stays within ``core_weight``, plus a
-    seeded sample of full-universe composites sized by the two sample
-    fields.
+    Hom sets grow so fast with these bounds that the composable pairs
+    number in the billions well before (3, 2, 3, 1), so the sweep is
+    tiered: single-square claims run on the whole universe, pair claims
+    exhaustively on the rows of weight (ambient size plus fiber size) at
+    most ``CORE_WEIGHT``, plus a seeded sample of ``SAMPLE_TRIPLES``
+    full-universe triples, each hom set cut at ``SAMPLE_CAP`` squares.
     """
 
-    max_rank: int = 3
-    max_tuple: int = 2
-    max_fiber: int = 3
-    max_junk: int = 1
-    core_weight: int = 3
-    sample_triples: int = 150
-    sample_cap: int = 12
+    max_rank: int
+    max_tuple: int
+    max_fiber: int
+    max_junk: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{f.name} {value!r} is not an int")
+            if value < 0:
+                raise ValueError(f"{f.name} {value} is negative")
+
+
+# the tiering of verify_localization
+CORE_WEIGHT = 3
+SAMPLE_TRIPLES = 150
+SAMPLE_CAP = 12
 
 
 # --------------------------------------------------------------------------
@@ -805,8 +813,7 @@ def _factor_round_family(z, g):
 # enumeration universes
 
 
-def all_omega_delta_objects(budget=None):
-    bud = budget or LocalizeBudget()
+def all_omega_delta_objects(bud):
     for n in range(1, bud.max_rank + 1):
         amb = standard_order(n)
         for m in range(bud.max_fiber + 1):
@@ -919,8 +926,7 @@ def _fiber_size_profiles(n_points, total_cap, each_cap):
             yield sizes
 
 
-def all_omega_lambda_objects(budget=None):
-    bud = budget or LocalizeBudget()
+def all_omega_lambda_objects(bud):
     pools = [("a",), ("a", "b")][: bud.max_tuple]
     for pool in pools:
         s = PointedSet(pool)
@@ -1133,15 +1139,13 @@ def all_e_mors(z1, z2):
     yield from _e_pointed(z1, z2)
 
 
-def delta_star_targets(budget=None):
-    bud = budget or LocalizeBudget()
+def delta_star_targets(bud):
     for k in range(1, bud.max_tuple + 1):
         for ranks in itertools.product(range(bud.max_fiber + 1), repeat=k):
             yield DeltaStarObj(ranks)
 
 
-def lambda_star_targets(budget=None):
-    bud = budget or LocalizeBudget()
+def lambda_star_targets(bud):
     pool = ("a", "b")[: bud.max_tuple]
     for r in range(1, len(pool) + 1):
         for idx in itertools.combinations(pool, r):
@@ -1233,21 +1237,20 @@ def _row_weight(z):
     return len(z.base.dst.points) + len(z.carrier.points)
 
 
-def verify_localization(budget=None, report=None, deep=True):
+def verify_localization(bud, deep=True):
     """Brute-force re-check of the collapse functor's localization story.
 
     Single-square claims (window-rigid squares collapse to
     identity-shaped data, the built fiber rows are initial) run over the
-    whole budgeted universe.  Pair-quantified claims (functoriality of
-    the collapse, closure of the rigid class under composition) and the
-    factorization universality sweep run exhaustively on the
-    weight-bounded sub-universe, with a seeded sample extending the
-    composite checks across the full universe; the scope notes record
-    exactly what was enumerated.
+    whole universe the LocalizeBudget ``bud`` bounds.  Unless ``deep``
+    is false, pair-quantified claims (functoriality of the collapse,
+    closure of the rigid class under composition) and the factorization
+    sweep run exhaustively on the rows of weight at most ``CORE_WEIGHT``,
+    and a seeded sample extends the composite checks across the full
+    universe; the scope notes record exactly what was enumerated.
     """
-    bud = budget or LocalizeBudget()
-    rep = report or Report("localization")
-    if bud.max_rank <= 0:
+    rep = Report("localization")
+    if bud.max_rank == 0:
         rep.note_scope("empty budget: nothing to enumerate")
         return rep
 
@@ -1299,7 +1302,7 @@ def verify_localization(budget=None, report=None, deep=True):
         rep.note_scope("shallow run: composite and factorization sweeps skipped")
         return rep
 
-    _verify_core(rep, bud, delta_objs, lambda_objs, d_targets, l_targets)
+    _verify_core(rep, delta_objs, lambda_objs, d_targets, l_targets)
 
     # probe rows stay out of the exhaustive tier's caches
     nf = _check_universality(
@@ -1324,19 +1327,18 @@ def verify_localization(budget=None, report=None, deep=True):
         "cyclic source for family targets)"
     )
 
-    np_ = _sample_functoriality(rep, delta_objs, bud, "interval")
-    np_ += _sample_functoriality(rep, lambda_objs, bud, "round")
+    np_ = _sample_functoriality(rep, delta_objs, "interval")
+    np_ += _sample_functoriality(rep, lambda_objs, "round")
     rep.note_scope(f"seeded full-universe composite sample: {np_} pairs")
     return rep
 
 
-def _verify_core(rep, bud, delta_objs, lambda_objs, d_targets, l_targets):
+def _verify_core(rep, delta_objs, lambda_objs, d_targets, l_targets):
     """The exhaustive tier over the weight-bounded sub-universe."""
-    cw = bud.core_weight
-    core_d = [z for z in delta_objs if _row_weight(z) <= cw]
-    core_l = [z for z in lambda_objs if _row_weight(z) <= cw]
+    core_d = [z for z in delta_objs if _row_weight(z) <= CORE_WEIGHT]
+    core_l = [z for z in lambda_objs if _row_weight(z) <= CORE_WEIGHT]
     rep.note_scope(
-        f"exhaustive tier at weight <= {cw}: {len(core_d)} interval rows, "
+        f"exhaustive tier at weight <= {CORE_WEIGHT}: {len(core_d)} interval rows, "
         f"{len(core_l)} round rows"
     )
 
@@ -1454,22 +1456,21 @@ def _check_functoriality(rep, objs, hom, loc, tag):
     rep.note_scope(f"{tag} composable pairs swept exhaustively: {pairs}")
 
 
-def _sample_functoriality(rep, objs, bud, tag):
-    if not objs or bud.sample_triples <= 0:
+def _sample_functoriality(rep, objs, tag):
+    if not objs:
         return 0
     rng = random.Random(1729)
-    cap = bud.sample_cap
     pairs = 0
     want_cache = {}
-    for _ in range(bud.sample_triples):
+    for _ in range(SAMPLE_TRIPLES):
         z1 = rng.choice(objs)
         z2 = rng.choice(objs)
         z3 = rng.choice(objs)
         incoming = _annotated(
-            itertools.islice(all_omega_mors(z1, z2), cap), localize_morphism
+            itertools.islice(all_omega_mors(z1, z2), SAMPLE_CAP), localize_morphism
         )
         outgoing = _annotated(
-            itertools.islice(all_omega_mors(z2, z3), cap), localize_morphism
+            itertools.islice(all_omega_mors(z2, z3), SAMPLE_CAP), localize_morphism
         )
         pairs += _check_pairs(rep, tag, incoming, outgoing, want_cache)
     return pairs

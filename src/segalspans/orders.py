@@ -380,10 +380,6 @@ class CompatLinOrder:
         """Image of position i under the chosen bijection from 0..n."""
         return self.listing[i]
 
-    @property
-    def order(self):
-        return LinOrd(self.listing)
-
 
 def compat_linear_orders(base):
     """All compatible linear orders on a cyclic order (one per start)."""

@@ -120,7 +120,7 @@ def square_instances(n_top):
     return out
 
 
-def check_2segal(x, report=None):
+def check_2segal(x):
     """The binary-square gluing condition.
 
     For every way of substituting an m-block at position j of [n], the
@@ -130,7 +130,7 @@ def check_2segal(x, report=None):
     """
     if x.top_rank < 3:
         raise ValueError("truncation too low for 2-Segal checks")
-    rep = report if report is not None else Report("2segal-squares")
+    rep = Report("2segal-squares")
     for n, m, j in square_instances(x.top_rank):
         big = n + m - 1
         to_n = simplex_map(x, big, (p if p < j else p + m - 1 for p in range(n + 1)))
@@ -144,13 +144,13 @@ def check_2segal(x, report=None):
     return rep
 
 
-def check_unital(x, report=None):
+def check_unital(x):
     """The degenerate-block gluing condition.
 
     For every edge i..i+1 of [n], pairs (an n-simplex whose i-th edge is
     degenerate, the matching vertex) must biject with X_{n-1}.
     """
-    rep = report if report is not None else Report("unital")
+    rep = Report("unital")
     top = x.top_rank
     degen_edge = simplex_map(x, 0, (0, 0))
     for n in range(1, top + 1):
@@ -166,9 +166,9 @@ def check_unital(x, report=None):
     return rep
 
 
-def check_1segal(x, report=None):
+def check_1segal(x):
     """The spine condition: X_n must biject with chains of n edges."""
-    rep = report if report is not None else Report("1segal")
+    rep = Report("1segal")
     top = x.top_rank
     head = simplex_map(x, 1, (1,))
     tail = simplex_map(x, 1, (0,))
@@ -238,15 +238,15 @@ def triangulation_diagram(x, n, tris):
     return FinDiagram(tuple(nodes), tuple(arrows))
 
 
-def check_2segal_triangulations(x, report=None, max_rank=None):
+def check_2segal_triangulations(x):
     """The triangulation form of the gluing condition.
 
-    For every triangulation of the (n+1)-gon, the simplex values over
-    its vertices, edges, and triangles must assemble to a limit that
-    the comparison from X_n hits bijectively.
+    For every triangulation of the (n+1)-gon, n up to the top rank of
+    x, the simplex values over its vertices, edges, and triangles must
+    assemble to a limit that the comparison from X_n hits bijectively.
     """
-    rep = report if report is not None else Report("2segal-triangulations")
-    top = x.top_rank if max_rank is None else min(max_rank, x.top_rank)
+    rep = Report("2segal-triangulations")
+    top = x.top_rank
     if top < 3:
         raise ValueError("truncation too low for 2-Segal checks")
     for n in range(2, top + 1):

@@ -56,9 +56,12 @@ def check_rank(r):
 
 
 def check_block(where, verts, rank, top):
-    """Validate the vertex list of a block: a monotone [rank] -> [top]."""
+    """Validate a block's vertex list: ints (not bools) naming a monotone [rank] -> [top]."""
     if len(verts) != rank + 1:
         raise ValueError(f"block at {where!r} has {len(verts)} vertices, not {rank + 1}")
+    for v in verts:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"block at {where!r} has vertex {v!r}, not an int")
     for a, b in zip(verts, verts[1:]):
         if a > b:
             raise ValueError(f"block at {where!r} is not monotone")
@@ -220,14 +223,15 @@ class StarFunctor:
         return slotwise_map(self.value(mor.src), self.value(mor.dst), slot_maps)
 
 
-def check_algebra_conditions(x, report=None, fan_triples=None):
+def check_algebra_conditions(x):
     """Algebra conditions for the star functor of a simplicial object.
 
     Reduced squares (one non-trivial interval per tuple) must go to
-    pullbacks; tuple objects must go to honest products; a few fan
-    decompositions of length three are re-checked as redundancy.
+    pullbacks; tuple objects must go to honest products; the fan
+    decompositions of length three with block sizes (1, 1, 1),
+    (1, 2, 1) and (2, 1, 1) are re-checked as redundancy.
     """
-    rep = report if report is not None else Report("algebra-conditions")
+    rep = Report("algebra-conditions")
     f = StarFunctor(x)
     top = x.top_rank
     if top < 3:
@@ -267,9 +271,7 @@ def check_algebra_conditions(x, report=None, fan_triples=None):
             rep, "product-cone", ranks, projs[0].src, values, expect
         )
     rep.note_scope("product cones on sample tuples")
-    if fan_triples is None:
-        fan_triples = [(1, 1, 1), (1, 2, 1), (2, 1, 1)]
-    for (a, b, c) in fan_triples:
+    for (a, b, c) in [(1, 1, 1), (1, 2, 1), (2, 1, 1)]:
         big = a + b + c
         if big > top:
             continue
@@ -352,13 +354,13 @@ def unitor_spans(x1):
     return into_right, out_of_right, into_left, out_of_left
 
 
-def check_associativity(x, report=None):
+def check_associativity(x):
     """Associativity and unit laws for the multiplication span.
 
     Both bracketings of the double multiplication must agree with the
     threefold span out of X3, and the unit span must be neutral.
     """
-    rep = report if report is not None else Report("associativity")
+    rep = Report("associativity")
     if x.top_rank < 3:
         raise ValueError("truncation too low for associativity")
     mu = multiplication_span(x)

@@ -230,7 +230,8 @@ FA = FamilyObj(((0, 1),))
 FB = FamilyObj(((0, 1), (1, 1)))
 
 # one input per ValueError branch of the family constructors that is not
-# shared with tuple morphisms (test_spanalg), with its exact message
+# shared with tuple morphisms (test_spanalg), plus the vertex types that
+# the shared block check rejects, each with its exact message
 MALFORMED_FAMILIES = [
     ("uncovered target index",
      lambda: FamilyMor(FA, FB, ((0, (0, (0, 1))),), ((0, (0,)),)),
@@ -247,6 +248,12 @@ MALFORMED_FAMILIES = [
     ("blocks decreasing along the fiber",
      lambda: FamilyMor(FA, FB, ((0, (0, (0, 1))), (1, (0, (0, 1)))), ((0, (0, 1)),)),
      "blocks at 0 and 1 decrease along the fiber"),
+    ("float vertex",
+     lambda: FamilyMor(FA, FA, ((0, (0, (0.5, 1))),), ((0, (0,)),)),
+     "block at 0 has vertex 0.5, not an int"),
+    ("bool vertex",
+     lambda: FamilyMor(FA, FA, ((0, (0, (0, True))),), ((0, (0,)),)),
+     "block at 0 has vertex True, not an int"),
     ("repeated index label",
      lambda: FamilyObj(((0, 1), (0, 2))),
      "repeated index label"),
@@ -565,8 +572,8 @@ def test_nondegeneracy_criteria_agree_even_when_failing(z2):
 
 SKIP_NOTE = re.compile(r"(\d+) oversized instances skipped")
 
-# oversized instances skipped per group at the default budget and
-# max_cells, recorded before the subdivision squares were judged on
+# oversized instances skipped per group at CY_BUDGET and
+# CY_MAX_CELLS, recorded before the subdivision squares were judged on
 # positions; a faster check must not come from checking less
 PINNED_CY_SKIPS = {"triv": 0, "z2": 0, "z3": 4, "z4": 37, "v4": 37}
 

@@ -206,6 +206,23 @@ def test_enumerators_are_pinned_and_E_agrees_with_filtering():
         assert (len(rows), squares, rigid) == (n_rows, n_squares, n_rigid)
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((1.5, 1, 1, 0), "max_rank 1.5 is not an int"),
+        ((1, True, 1, 0), "max_tuple True is not an int"),
+        ((1, 1, -1, 0), "max_fiber -1 is negative"),
+        ((1, 1, 1, "0"), "max_junk '0' is not an int"),
+        ((1, 1, 1, -2), "max_junk -2 is negative"),
+    ],
+)
+def test_malformed_budget_raises(bounds, message):
+    with pytest.raises(ValueError) as err:
+        LocalizeBudget(*bounds)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_verification_sweep_is_red_on_factorization_uniqueness():
     # records the current state, not a goal: ROADMAP item 1 owns the fix
     rep = verify_localization(LocalizeBudget(1, 1, 1, 0))

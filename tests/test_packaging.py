@@ -2,8 +2,10 @@
 exist, and the package carries no code without a caller."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -170,3 +172,44 @@ def test_benchmark_tracer_finds_every_target(monkeypatch):
     spec.loader.exec_module(tracer)
     with tracer.Tracer():
         pass
+
+
+# constructor validators: they raise ValueError instead of reporting
+CONSTRUCTOR_CHECKS = ("check_rank", "check_block")
+
+
+def test_checkers_take_the_object_and_nothing_else():
+    # a checker is check(x) -> Report: no option grows back that no
+    # caller sets
+    from segalspans import cycy, localize, segal, sobj, spanalg
+
+    checkers = {"sobj.validate": sobj.validate}
+    for module in (segal, spanalg, cycy):
+        short = module.__name__.rsplit(".", 1)[1]
+        checkers.update(
+            (f"{short}.{name}", fn)
+            for name, fn in vars(module).items()
+            if name.startswith("check_")
+            and name not in CONSTRUCTOR_CHECKS
+            and inspect.isfunction(fn)
+            and fn.__module__ == module.__name__
+        )
+    assert {
+        "segal.check_2segal", "segal.check_unital", "segal.check_1segal",
+        "segal.check_2segal_triangulations", "spanalg.check_algebra_conditions",
+        "spanalg.check_associativity", "cycy.check_cy_conditions",
+        "cycy.check_nondegeneracy",
+    } <= set(checkers)
+    wide = {
+        name: str(inspect.signature(fn))
+        for name, fn in checkers.items()
+        if len(inspect.signature(fn).parameters) != 1
+    }
+    assert not wide, wide
+    assert list(inspect.signature(localize.verify_localization).parameters) == ["bud", "deep"]
+    bounds = dataclasses.fields(localize.LocalizeBudget)
+    assert [f.name for f in bounds] == ["max_rank", "max_tuple", "max_fiber", "max_junk"]
+    assert all(
+        f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        for f in bounds
+    )

@@ -117,6 +117,12 @@ MALFORMED_TUPLES = [
     ("skipped interior slot of positive rank",
      lambda: DeltaStarMor(D((1, 2, 1)), D((1, 1)), ((0, (0, 1)), (2, (0, 1)))),
      "skipped interior slot 1 must have rank 0"),
+    ("float vertex",
+     lambda: DeltaStarMor(D((2,)), D((1,)), ((0, (0.5, 1)),)),
+     "block at 0 has vertex 0.5, not an int"),
+    ("bool vertex",
+     lambda: DeltaStarMor(D((1,)), D((1,)), ((0, (0, True)),)),
+     "block at 0 has vertex True, not an int"),
     ("float source slot",
      lambda: DeltaStarMor(D((1,)), D((1,)), ((0.0, (0, 1)),)),
      "block at 0 names source slot 0.0, not an int"),
