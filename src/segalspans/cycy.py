@@ -206,17 +206,6 @@ def ass_compose(g, f):
     return g.compose(f)
 
 
-def forget_cyclic_to_pointed(f):
-    """The ordered-fiber pointed map underlying a cyclic map.
-
-    Carrier elements become the points, the basepoint is fresh, and the
-    fiber orders are read off unchanged; no further choice enters.
-    """
-    src = PointedSet(f.src.cycle)
-    dst = PointedSet(f.dst.cycle)
-    return AssMor(src, dst, f.fibers)
-
-
 def all_ass_mors(src, dst):
     """Every ordered-fiber map src -> dst between pointed sets."""
     pts = src.points

@@ -10,10 +10,10 @@ and the two constructions are inverse on positions.
 Closing a linear order into a cycle commutes with these dualities up to
 a canonical witness; that witness is what transports the gap duality to
 cyclic orders, where the formula for maps is otherwise underdetermined.
-``D_on_map`` computes that transported dual directly on positions; the
+``D_on_map`` computes that transported dual directly on positions.  The
 closure witnesses (``O_on_map``, ``interval_closure_map``,
-``closure_square_witness``) stay as the reference construction that the
-tests compare it against.
+``closure_square_witness``) are the reference construction in
+``tests/reference_orders.py`` that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .labels import BASE, BOTTOM, label_key
-from .orders import CycMap, CycOrd, IntervalMap, LinMap, LinOrd
+from .orders import CycMap, CycOrd, LinMap, LinOrd
 
 
 # --------------------------------------------------------------------------
@@ -41,17 +41,6 @@ def sk_outer_dual(images, a, b):
         while i <= a and images[i] < j:
             i += 1
         out.append(i)
-    return tuple(out)
-
-
-def sk_inner_dual(images, p, q):
-    """Dual of an endpoint-preserving [p] -> [q] on inner gaps: [q-1] -> [p-1]."""
-    out = []
-    j = 0
-    for k in range(q):
-        while j + 1 <= p and images[j + 1] <= k:
-            j += 1
-        out.append(j)
     return tuple(out)
 
 
@@ -80,40 +69,6 @@ def inner_interstices(order):
     return LinOrd(order.elements[:-1])
 
 
-def outer_interstices(order):
-    """Inner gaps plus the unbounded gaps below and above."""
-    if BOTTOM in order.elements:
-        raise ValueError("order already carries the outer gap sentinel")
-    return LinOrd((BOTTOM,) + order.elements)
-
-
-def O_on_map(f):
-    """Contravariant dual of an order-preserving map on outer gaps.
-
-    Always endpoint-preserving: the unbounded gaps pull back to the
-    unbounded gaps.
-    """
-    a, b = f.src.skeletal_rank, f.dst.skeletal_rank
-    dual = sk_outer_dual(f.positions, a, b)
-    gs = outer_interstices(f.src)
-    gt = outer_interstices(f.dst)
-    return IntervalMap(LinMap(gt, gs, tuple(gs.elements[i] for i in dual)))
-
-
-def I_on_map(g):
-    """Contravariant dual of an endpoint-preserving map on inner gaps.
-
-    Inverse to O_on_map at the level of positions (gap carriers are
-    renamed by the canonical relabelling).
-    """
-    f = g.underlying
-    p, q = f.src.skeletal_rank, f.dst.skeletal_rank
-    dual = sk_inner_dual(f.positions, p, q)
-    gs = inner_interstices(f.src)
-    gt = inner_interstices(f.dst)
-    return LinMap(gt, gs, tuple(gs.elements[j] for j in dual))
-
-
 # --------------------------------------------------------------------------
 # closures into cyclic orders
 
@@ -133,57 +88,8 @@ def cyclic_closure_map(f):
     return CycMap(src_c, dst_c, fibers)
 
 
-def interval_closure(order):
-    """Glue top to bottom, dropping the top's label; needs >= 2 elements."""
-    if len(order) < 2:
-        raise ValueError("interval closure needs at least two elements")
-    return CycOrd(order.elements[:-1])
-
-
-def interval_closure_map(g):
-    """An endpoint-preserving map, carried through endpoint gluing.
-
-    The merged element's fiber lists the preimages of the old top first,
-    then those of the old bottom.
-    """
-    f = g.underlying
-    src_c = interval_closure(f.src)
-    dst_c = interval_closure(f.dst)
-    top_s = f.src.top
-    bot_d, top_d = f.dst.bottom, f.dst.top
-    fibers = {y: [x for x in f.fiber(y) if x != top_s] for y in f.dst.elements[:-1]}
-    fibers[bot_d] = [x for x in f.fiber(top_d) if x != top_s] + fibers[bot_d]
-    return CycMap(src_c, dst_c, tuple((d, tuple(v)) for d, v in fibers.items()))
-
-
-def closure_square_witness(order):
-    """Iso from interval-closed outer gaps to the closed order itself.
-
-    Sends the below-bottom gap to the top element and every other gap to
-    its lower endpoint; this is the comparison along which the gap
-    duality transports to cycles.
-    """
-    if len(order) == 0:
-        raise ValueError("witness needs a nonempty order")
-    src_c = interval_closure(outer_interstices(order))
-    dst_c = cyclic_closure(order)
-    fibers = [(order.top, (BOTTOM,))]
-    fibers += [(x, (x,)) for x in order.elements[:-1]]
-    return CycMap(src_c, dst_c, tuple(fibers))
-
-
 # --------------------------------------------------------------------------
 # the cyclic gap duality
-
-
-def cyclic_dual(base):
-    """The cyclic order of gaps of a cycle.
-
-    Each gap is named by the element it follows, so the carrier and the
-    successor structure are unchanged; the content of the duality sits
-    in its action on maps.
-    """
-    return base
 
 
 def D_on_map(f, start=None):
@@ -224,17 +130,6 @@ def D_on_map(f, start=None):
     return CycMap(dst, f.src, tuple(fibers))
 
 
-def double_dual_witness(base):
-    """Rotation conjugating a map to its double dual.
-
-    For every cyclic map f the square witness_dst . f = D(D(f)) . witness_src
-    commutes; the witness steps each element one place backward.
-    """
-    from .orders import rotation_map
-
-    return rotation_map(base, -1)
-
-
 # --------------------------------------------------------------------------
 # pointed sets and the cut construction
 
@@ -265,66 +160,11 @@ class PointedSet:
         return iter(self.points)
 
 
-@dataclass(frozen=True)
-class PointedMap:
-    """A basepoint-preserving map; images listed per sorted source point."""
-
-    src: PointedSet
-    dst: PointedSet
-    assignment: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        if len(self.assignment) != len(self.src.points):
-            raise ValueError("one image per source point required")
-        for y in self.assignment:
-            if y is not BASE and y not in self.dst.points:
-                raise ValueError(f"image {y!r} not in target")
-
-    def __call__(self, x):
-        if x is BASE:
-            return BASE
-        return self.assignment[self.src.points.index(x)]
-
-    def compose(self, other):
-        if other.dst != self.src:
-            raise ValueError("middle objects disagree")
-        return PointedMap(
-            other.src, self.dst, tuple(self(y) for y in other.assignment)
-        )
-
-    def is_iso(self):
-        return (
-            len(self.src) == len(self.dst)
-            and BASE not in self.assignment
-            and len(set(self.assignment)) == len(self.assignment)
-        )
-
-
 def cut(n):
     """The pointed set of inner gaps of the rank-n order."""
     if n < 0:
         raise ValueError("cut needs rank >= 0")
     return PointedSet(tuple(range(n)))
-
-
-def cut_on_map(f):
-    """Contravariant pointed dual of a monotone map between nonempty orders.
-
-    An inner gap of the target pulls back to the unique inner gap of the
-    source spanning it, or to the basepoint when it falls outside the
-    image's reach.  Computed from the outer gap dual by collapsing both
-    unbounded gaps to the basepoint.
-    """
-    a, b = f.src.skeletal_rank, f.dst.skeletal_rank
-    if a < 0 or b < 0:
-        raise ValueError("cut needs nonempty orders")
-    dual = sk_outer_dual(f.positions, a, b)
-    imgs = []
-    for k in range(b):
-        i = dual[k + 1]
-        imgs.append(i - 1 if 1 <= i <= a else BASE)
-    return PointedMap(cut(b), cut(a), tuple(imgs))
 
 
 # --------------------------------------------------------------------------
@@ -376,12 +216,6 @@ class IntervalContextMap:
         return IntervalContextMap(other.src, self.dst, self.map.compose(other.map))
 
 
-def identity_context_map(ctx):
-    from .orders import identity_lin
-
-    return IntervalContextMap(ctx, ctx, identity_lin(ctx.ambient))
-
-
 def res(m):
     """Dual of a context morphism on the inner gaps of the marked intervals.
 
@@ -396,19 +230,3 @@ def res(m):
     gs = inner_interstices(m.src.sub_order)
     return LinMap(gt, gs, tuple(gs.elements[v] for v in dual))
 
-
-@dataclass(frozen=True)
-class PointedSubsetContext:
-    """A pointed set with a marked subset of its non-basepoint part."""
-
-    base: PointedSet
-    subset: tuple
-
-    def __post_init__(self):
-        sub = tuple(sorted(self.subset, key=label_key))
-        if len(set(sub)) != len(sub):
-            raise ValueError("repeated label in marked subset")
-        for x in sub:
-            if x not in self.base.points:
-                raise ValueError("marked subset must avoid the basepoint")
-        object.__setattr__(self, "subset", sub)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from collections import Counter
 from operator import add, eq, itemgetter, mul
 
-from .labels import check_label, label_key
+from .labels import check_label, label_key, trusted
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,6 @@ class FinSet:
         if x not in pos:
             raise ValueError(f"{x!r} is not in this set")
         return pos[x]
-
-
-def trusted(cls, **fields):
-    """An instance of the frozen dataclass cls built without validation.
-
-    The one bypass of the validating constructors.  The caller promises
-    that ``fields`` equal what ``cls(...)`` would store: for a FinSet,
-    checked labels already in canonical order; for a composite, the
-    fields of parts that were validated themselves.  Equality and hashing
-    then agree with validated instances.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def terminal_set():
@@ -447,17 +432,6 @@ def tensor_spans(s, t):
     ll = slotwise_map(ap, lo, ((0, s.left_leg._lookup()), (1, t.left_leg._lookup())))
     rl = slotwise_map(ap, ro, ((0, s.right_leg._lookup()), (1, t.right_leg._lookup())))
     return Span(lo, ro, ap, ll, rl)
-
-
-def is_equivalence_span(s):
-    """A span is an equivalence iff both legs are bijections.
-
-    Returns (verdict, witness): the witness is the induced bijection
-    left_obj -> right_obj, or None.
-    """
-    if s.left_leg.is_bijection() and s.right_leg.is_bijection():
-        return True, s.right_leg.compose(s.left_leg.inverse())
-    return False, None
 
 
 def spans_isomorphic(s, t):

@@ -4,6 +4,9 @@ A label is an int, a str, or a (nested) tuple of labels.  Two sentinel
 values are added: ``BOTTOM``, the adjoined least element produced when an
 order is closed off below, and ``BASE``, the basepoint of pointed sets.
 Sentinels are singletons and compare below every ordinary label.
+
+``trusted`` is the one bypass of the validating constructors of the
+ordered and finite-set structures built on labels.
 """
 
 from __future__ import annotations
@@ -47,3 +50,18 @@ def check_label(x):
     """Validate a label, returning it unchanged."""
     label_key(x)
     return x
+
+
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass cls built without validation.
+
+    The one bypass of the validating constructors.  The caller promises
+    that ``fields`` equal what ``cls(...)`` would store: for a FinSet,
+    checked labels already in canonical order; for a composite, the
+    fields of parts that were validated themselves.  Equality and hashing
+    then agree with validated instances.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

@@ -20,8 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, fields
 
-from .finset import trusted
-from .labels import BASE, label_key
+from .labels import BASE, label_key, trusted
 from .orders import CycMap, CycOrd, LinMap, identity_lin, rotation_map, standard_cycle, standard_order
 from .dualities import D_on_map, IntervalContext, IntervalContextMap, PointedSet, cut, res
 from .cycy import (
@@ -430,15 +429,6 @@ def localize_morphism(mu):
 # the class E
 
 
-@dataclass(frozen=True)
-class EMembership:
-    verdict: bool
-    reason: str = ""
-
-    def __bool__(self):
-        return self.verdict
-
-
 def is_in_E(mu):
     """Does the square shift the marked window rigidly?"""
     if isinstance(mu, OmegaMorDelta):
@@ -446,11 +436,9 @@ def is_in_E(mu):
     if mu.src.is_round and mu.dst.is_round:
         u2 = mu.dst.base.cycle
         w = CycMap(mu.src.base.cycle, u2, tuple((u, mu.gbar.fiber(u)) for u in u2.cycle))
-        if not w.is_iso():
-            return EMembership(False, "cycle-iso")
-        return EMembership(True)
+        return w.is_iso()
     if mu.src.is_round:
-        return EMembership(False, "mixed-shape")
+        return False
     return _pointed_in_E(mu)
 
 
@@ -458,19 +446,19 @@ def _delta_in_E(mu):
     i, j = mu.src.lo_pos, mu.src.hi_pos
     ip, jp = mu.dst.lo_pos, mu.dst.hi_pos
     if j - i != jp - ip:
-        return EMembership(False, "marked-rank")
+        return False
     gpos = mu.g.positions
     if any(gpos[i + t] != ip + t for t in range(j - i + 1)):
-        return EMembership(False, "marked-window-shift")
+        return False
     fpos = mu.src.base.positions
     f2pos = mu.dst.base.positions
     gbarpos = mu.gbar.positions
     width = fpos[j] - fpos[i]
     if f2pos[jp] - f2pos[ip] != width:
-        return EMembership(False, "fiber-window-shift")
+        return False
     if any(gbarpos[f2pos[ip] + t] != fpos[i] + t for t in range(width + 1)):
-        return EMembership(False, "fiber-window-shift")
-    return EMembership(True)
+        return False
+    return True
 
 
 def _pointed_in_E(mu):
@@ -478,17 +466,17 @@ def _pointed_in_E(mu):
     q2 = mu.dst.marked
     images = [mu.g(q) for q in q2]
     if len(set(images)) != len(images) or set(images) != p1:
-        return EMembership(False, "marked-bijection")
+        return False
     for s in mu.dst.base.dst.points:
         if s not in q2 and mu.g(s) in p1:
-            return EMembership(False, "marked-saturation")
+            return False
     back = {mu.g(q): q for q in q2}
     for p in p1:
         q = back[p]
         src_fiber = mu.src.base.fiber(p)
         if tuple(mu.gbar(t) for t in src_fiber) != mu.dst.base.fiber(q):
-            return EMembership(False, "fiber-order-iso")
-    return EMembership(True)
+            return False
+    return True
 
 
 def is_identity_like(m):
@@ -1250,10 +1238,6 @@ def verify_localization(bud, deep=True):
     universe; the scope notes record exactly what was enumerated.
     """
     rep = Report("localization")
-    if bud.max_rank == 0:
-        rep.note_scope("empty budget: nothing to enumerate")
-        return rep
-
     delta_objs = list(all_omega_delta_objects(bud))
     lambda_objs = list(all_omega_lambda_objects(bud))
     rep.note_scope(
@@ -1416,7 +1400,7 @@ def _check_e_overlay(rep, objs, tag):
 
 
 def _annotated(mors, loc):
-    return [(mu, loc(mu), bool(is_in_E(mu))) for mu in mors]
+    return [(mu, loc(mu), is_in_E(mu)) for mu in mors]
 
 
 def _check_pairs(rep, tag, incoming, outgoing, want_cache):

@@ -7,9 +7,8 @@ equal.  A map of cyclic orders carries a linear order on every fiber and
 is valid when reading the fibers around the target reproduces the source
 cycle.
 
-Labels are never renamed implicitly.  Operations that would need
-disjoint carriers reject collisions; callers disjointify with
-``tag_order`` first.
+Labels are never renamed implicitly.  Composites of valid maps are
+valid, so ``compose`` builds them with ``trusted``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .labels import check_label, label_key
+from .labels import check_label, label_key, trusted
 
 
 # --------------------------------------------------------------------------
@@ -89,18 +88,6 @@ def standard_order(n):
     return LinOrd(tuple(range(n + 1)))
 
 
-def tag_order(prefix, order):
-    """Relabel every element x to (prefix, x); used to disjointify carriers."""
-    return LinOrd(tuple((prefix, x) for x in order.elements))
-
-
-def skeletalize(order):
-    """Relabel to 0..n, returning (standard order, old-label -> position)."""
-    return standard_order(order.skeletal_rank), {
-        x: i for i, x in enumerate(order.elements)
-    }
-
-
 @dataclass(frozen=True)
 class LinMap:
     """An order-preserving map, stored as one image per source element."""
@@ -132,7 +119,8 @@ class LinMap:
         """self after other."""
         if other.dst != self.src:
             raise ValueError("middle objects disagree")
-        return LinMap(other.src, self.dst, tuple(self(y) for y in other.images))
+        images = tuple(self(y) for y in other.images)
+        return trusted(LinMap, src=other.src, dst=self.dst, images=images)
 
     def is_iso(self):
         return len(self.src) == len(self.dst) and len(set(self.images)) == len(
@@ -156,113 +144,6 @@ class LinMap:
 
 def identity_lin(order):
     return LinMap(order, order, order.elements)
-
-
-def all_lin_maps(src, dst):
-    """Every order-preserving map src -> dst."""
-    for pos in itertools.combinations_with_replacement(range(len(dst)), len(src)):
-        yield LinMap(src, dst, tuple(dst.elements[p] for p in pos))
-
-
-@dataclass(frozen=True)
-class IntervalMap:
-    """An order-preserving map that fixes both endpoints.
-
-    Source and target must be nonempty; these are the maps along which
-    inner gap structure can be pulled back.
-    """
-
-    underlying: LinMap
-
-    def __post_init__(self):
-        if not self.underlying.is_endpoint_preserving():
-            raise ValueError("map does not preserve both endpoints")
-
-    @property
-    def src(self):
-        return self.underlying.src
-
-    @property
-    def dst(self):
-        return self.underlying.dst
-
-    def __call__(self, x):
-        return self.underlying(x)
-
-    def compose(self, other):
-        return IntervalMap(self.underlying.compose(other.underlying))
-
-
-def identity_interval(order):
-    return IntervalMap(identity_lin(order))
-
-
-def all_interval_maps(src, dst):
-    for f in all_lin_maps(src, dst):
-        if f.is_endpoint_preserving():
-            yield IntervalMap(f)
-
-
-# --------------------------------------------------------------------------
-# sums and joins
-
-
-def ordinal_sum(s, t):
-    """Concatenate two linear orders; every s-element below every t-element."""
-    clash = set(s.elements) & set(t.elements)
-    if clash:
-        raise ValueError(f"label collision in ordinal sum: {sorted(clash, key=label_key)!r}")
-    return LinOrd(s.elements + t.elements)
-
-
-def ordinal_sum_many(parts):
-    out = ()
-    seen = set()
-    for p in parts:
-        if seen & set(p.elements):
-            raise ValueError("label collision in ordinal sum")
-        seen |= set(p.elements)
-        out += p.elements
-    return LinOrd(out)
-
-
-def ordinal_sum_map(f, g):
-    """The sum of two maps, acting blockwise on an ordinal sum."""
-    src = ordinal_sum(f.src, g.src)
-    dst = ordinal_sum(f.dst, g.dst)
-    return LinMap(src, dst, f.images + g.images)
-
-
-def imbrication(s, t):
-    """Join two nonempty orders end to end, merging max(s) with min(t).
-
-    The merged element keeps the label of max(s); min(t)'s label is
-    dropped.  The two carriers must otherwise be disjoint, though t may
-    already reuse the junction label for its minimum.
-    """
-    if len(s) == 0 or len(t) == 0:
-        raise ValueError("imbrication requires interval objects")
-    # min(t)'s label is discarded by the merge, so it may freely reuse a
-    # label of s; only the surviving labels must stay distinct
-    rest = t.elements[1:]
-    clash = set(rest) & set(s.elements)
-    if clash:
-        raise ValueError(f"label collision in imbrication: {sorted(clash, key=label_key)!r}")
-    return LinOrd(s.elements + rest)
-
-
-def imbrication_map(f, g):
-    """Join two endpoint-compatible interval maps along the junction.
-
-    Requires f(max src f) and g(min src g) to be the tops/bottoms merged
-    by the imbrications of the sources and targets.
-    """
-    src = imbrication(f.src, g.src)
-    dst = imbrication(f.dst, g.dst)
-    images = f.images + tuple(
-        y if y != g.dst.bottom else f.dst.top for y in g.images[1:]
-    )
-    return LinMap(src, dst, images)
 
 
 # --------------------------------------------------------------------------
@@ -327,11 +208,6 @@ class CycOrd:
         i = self.cycle.index(x)
         return self.cycle[i - 1]
 
-    @property
-    def successor_map(self):
-        n = len(self.cycle)
-        return {x: self.cycle[(i + 1) % n] for i, x in enumerate(self.cycle)}
-
     def linear_from(self, x):
         """The compatible linear order that starts at x."""
         i = self.cycle.index(x)
@@ -351,41 +227,6 @@ def standard_cycle(n):
     if n < 0:
         raise ValueError("cyclic rank must be >= 0")
     return CycOrd(tuple(range(n + 1)))
-
-
-@dataclass(frozen=True)
-class CompatLinOrder:
-    """A linear order on a cyclic carrier that induces the given cycle.
-
-    ``listing`` enumerates the carrier bottom to top; it must be a
-    rotation of the base cycle.  ``iso`` gives the position form.
-    """
-
-    base: CycOrd
-    listing: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "listing", tuple(self.listing))
-        n = len(self.base)
-        if len(self.listing) != n:
-            raise ValueError("listing must enumerate the whole carrier")
-        if CycOrd(self.listing) != self.base:
-            raise ValueError("listing is not a rotation of the base cycle")
-
-    @property
-    def rank(self):
-        return len(self.listing) - 1
-
-    def iso(self, i):
-        """Image of position i under the chosen bijection from 0..n."""
-        return self.listing[i]
-
-
-def compat_linear_orders(base):
-    """All compatible linear orders on a cyclic order (one per start)."""
-    return tuple(
-        CompatLinOrder(base, base.linear_from(x).elements) for x in base.cycle
-    )
 
 
 @dataclass(frozen=True)
@@ -443,11 +284,13 @@ class CycMap:
         """self after other; fibers concatenate lexicographically."""
         if other.dst != self.src:
             raise ValueError("middle objects disagree")
+        inner = dict(other.fibers)
         fibers = tuple(
-            (d, tuple(itertools.chain.from_iterable(other.fiber(m) for m in f)))
+            (d, tuple(itertools.chain.from_iterable(inner[m] for m in f)))
             for d, f in self.fibers
         )
-        return CycMap(other.src, self.dst, fibers)
+        # keyed in the canonical order of self.fibers, as the constructor keys them
+        return trusted(CycMap, src=other.src, dst=self.dst, fibers=fibers)
 
     def is_iso(self):
         return len(self.src) == len(self.dst) and all(
@@ -519,70 +362,3 @@ def all_cyc_maps(src, dst):
                 fibers[dst.cycle[p]].append(x)
             yield CycMap(src, dst, tuple((d, tuple(f)) for d, f in fibers.items()))
 
-
-def cyclic_mismatch(c1, c2):
-    """First element whose successors differ, or None if the cycles agree."""
-    if c1.carrier != c2.carrier:
-        raise ValueError("cycles live on different carriers")
-    s1, s2 = c1.successor_map, c2.successor_map
-    for x in c1.cycle:
-        if s1[x] != s2[x]:
-            return (x, s1[x], s2[x])
-    return None
-
-
-def lex_cyclic_union(base, fam):
-    """Glue a family of linear orders around a cyclic index.
-
-    ``fam`` maps each element of ``base`` to a LinOrd; members must have
-    pairwise disjoint, globally distinct labels.  Empty members are
-    skipped by the successor.  The result walks each member bottom to
-    top, then jumps to the next nonempty member around the cycle.
-    """
-    if set(fam) != base.carrier:
-        raise ValueError("family must be indexed by the cyclic carrier")
-    seq = []
-    seen = set()
-    for i in base.cycle:
-        part = fam[i].elements
-        if seen & set(part):
-            raise ValueError("label collision across family members")
-        seen |= set(part)
-        seq.extend(part)
-    if not seq:
-        raise ValueError("union of an all-empty family is empty")
-    return CycOrd(tuple(seq))
-
-
-@dataclass(frozen=True)
-class LexSumWitness:
-    """Certificate comparing the closed linear sum with the cyclic union.
-
-    The comparison map is the identity on ``carrier``.  ``mismatch`` is
-    None when the successor permutations agree, else a triple (element,
-    successor in the closed sum, successor in the union).
-    """
-
-    equal: bool
-    carrier: tuple
-    mismatch: tuple | None
-
-
-def compare_lex_sum(base, phi, fam, claimed_union=None):
-    """Certify that summing along a compatible order matches the cyclic union.
-
-    ``phi`` picks a compatible linear order on ``base``; the family is
-    summed in that order and closed into a cycle, then compared with the
-    lexicographic cyclic union (or with ``claimed_union`` if given).  A
-    mismatch indicates corrupted input and is returned, not raised.
-    """
-    if phi.base != base:
-        raise ValueError("compatible order is for a different cycle")
-    summed = ordinal_sum_many([fam[x] for x in phi.listing])
-    if len(summed) == 0:
-        raise ValueError("union of an all-empty family is empty")
-    closed = CycOrd(summed.elements)
-    union = claimed_union if claimed_union is not None else lex_cyclic_union(base, fam)
-    diff = cyclic_mismatch(closed, union)
-    carrier = tuple(sorted(closed.cycle, key=label_key))
-    return LexSumWitness(diff is None, carrier, diff)

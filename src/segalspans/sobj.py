@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import FinSet, fin_map_by, identity_fin
+from .finset import identity_fin
 from .orders import LinMap, rotation_map, standard_cycle, standard_order
 from .report import Report
 
@@ -281,57 +281,3 @@ def apply_lambda_op(x, f):
     for _ in range(x0):
         out = x.rot(a).compose(out)
     return out
-
-
-def relabel(x, fn):
-    """Transport an object along per-rank injective relabelings.
-
-    fn(rank, element) must be injective on each level; tables are
-    conjugated accordingly.
-    """
-    simp = x.base if isinstance(x, CycObj) else x
-    top = simp.top_rank
-    new_sets = []
-    fwd = []
-    for n in range(top + 1):
-        pairs = [(e, fn(n, e)) for e in simp.level(n).elements]
-        ns = FinSet(tuple(v for _, v in pairs))
-        if len(ns) != len(simp.level(n)):
-            raise ValueError("relabeling not injective")
-        new_sets.append(ns)
-        fwd.append(dict(pairs))
-
-    def conj(m, n_src, n_dst):
-        back = {v: k for k, v in fwd[n_src].items()}
-        return fin_map_by(
-            new_sets[n_src], new_sets[n_dst], lambda e: fwd[n_dst][m(back[e])]
-        )
-
-    faces = tuple(
-        tuple(conj(simp.face(n, i), n, n - 1) for i in range(n + 1))
-        for n in range(1, top + 1)
-    )
-    degens = tuple(
-        tuple(conj(simp.degen(n, i), n, n + 1) for i in range(n + 1))
-        for n in range(top)
-    )
-    base = SimpObj(tuple(new_sets), faces, degens)
-    if isinstance(x, CycObj):
-        tau = tuple(conj(x.rot(n), n, n) for n in range(top + 1))
-        return CycObj(base, tau)
-    return base
-
-
-def truncate(x, new_top):
-    """Forget ranks above new_top."""
-    simp = x.base if isinstance(x, CycObj) else x
-    if new_top > simp.top_rank or new_top < 2:
-        raise ValueError("bad truncation level")
-    base = SimpObj(
-        simp.sets[: new_top + 1],
-        simp.faces[:new_top],
-        simp.degens[:new_top],
-    )
-    if isinstance(x, CycObj):
-        return CycObj(base, x.tau[: new_top + 1])
-    return base

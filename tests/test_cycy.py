@@ -26,7 +26,6 @@ from segalspans.cycy import (
     check_nondegeneracy,
     cyclic_edge_decomposition,
     family_union_cycle,
-    forget_cyclic_to_pointed,
     lambda_star_compose,
     lambda_star_identity,
     long_edge_morphism,
@@ -40,7 +39,7 @@ from segalspans.generators import (
     cyclic_nerve_of_group,
     groups_up_to_order,
 )
-from segalspans.orders import CycOrd, CycMap, LinMap, standard_cycle, standard_order
+from segalspans.orders import CycOrd, CycMap, LinMap, standard_order
 from segalspans.sobj import CycObj, SimpObj, apply_delta_op
 from segalspans.spanalg import check_associativity
 
@@ -117,19 +116,6 @@ def test_basepoint_is_implicit():
 
     assert f(0) is BASE
     assert f(1) == "a"
-
-
-def test_forget_cyclic_to_pointed_respects_composition():
-    u = standard_cycle(2)
-    v = standard_cycle(1)
-    f = CycMap(u, v, ((0, (0,)), (1, (1, 2))))
-    g = CycMap(v, v, ((0, (1,)), (1, (0,))))
-    lhs = forget_cyclic_to_pointed(g.compose(f))
-    rhs = ass_compose(
-        forget_cyclic_to_pointed(g), forget_cyclic_to_pointed(f)
-    )
-    assert lhs == rhs
-    assert forget_cyclic_to_pointed(f).fiber(1) == (1, 2)
 
 
 # --------------------------------------------------------------------------

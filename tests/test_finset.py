@@ -15,7 +15,6 @@ from segalspans.finset import (
     gather_positions,
     identity_fin,
     identity_span,
-    is_equivalence_span,
     limit,
     product_carrier,
     product_label,
@@ -327,21 +326,6 @@ def test_compose_spans_associative_up_to_iso(rng):
         assert spans_isomorphic(lhs, rhs)
 
 
-def test_equivalence_span_witness():
-    a = FinSet((0, 1, 2))
-    b = FinSet(("x", "y", "z"))
-    apex = FinSet((10, 11, 12))
-    s = Span(a, b, apex, FinMap(apex, a, (2, 1, 0)), FinMap(apex, b, ("x", "z", "y")))
-    ok, w = is_equivalence_span(s)
-    assert ok
-    assert w.src == a and w.dst == b
-    # witness sends left-leg values to right-leg values apexwise
-    for x in apex:
-        assert w(s.left_leg(x)) == s.right_leg(x)
-    bad = Span(a, b, apex, FinMap(apex, a, (0, 0, 1)), FinMap(apex, b, ("x", "z", "y")))
-    assert is_equivalence_span(bad) == (False, None)
-
-
 def test_equivalence_spans_closed_under_composition(rng):
     a = FinSet((0, 1, 2))
     perms = list(itertools.permutations(a.elements))
@@ -352,11 +336,9 @@ def test_equivalence_spans_closed_under_composition(rng):
         t = span_from_maps(
             FinMap(a, a, rng.choice(perms)), FinMap(a, a, rng.choice(perms))
         )
-        ok_s, _ = is_equivalence_span(s)
-        ok_t, _ = is_equivalence_span(t)
-        assert ok_s and ok_t
-        ok, w = is_equivalence_span(compose_spans(s, t))
-        assert ok and w.is_bijection()
+        # a span is an equivalence when both legs are bijections
+        for span in (s, t, compose_spans(s, t)):
+            assert span.left_leg.is_bijection() and span.right_leg.is_bijection()
 
 
 def test_spans_isomorphic_profile_sensitivity():
@@ -379,8 +361,7 @@ def test_tensor_and_reverse_spans():
     t = tensor_spans(s, s)
     assert len(t.apex) == 4
     assert t.left_obj.elements == t.right_obj.elements
-    ok, _ = is_equivalence_span(t)
-    assert ok
+    assert t.left_leg.is_bijection() and t.right_leg.is_bijection()
     r = reverse_span(s)
     assert r.left_obj == s.right_obj
 

@@ -93,14 +93,13 @@ def test_pointed_square_collapse_and_E():
     lam = localize_morphism(mu)
     assert lam.blocks == (("q", ("p", (0, 1, 2))),)
     assert lam.fiber_order("p") == ("q",)
-    assert is_in_E(mu).verdict
+    assert is_in_E(mu) is True
     assert is_identity_like(lam)
 
     # both source points land in x's fiber: no longer an order iso
     mu2 = OmegaMorLambda(z1, z2, g, AssMor(z1.carrier, z2.carrier, (("x", ("u", "v")), ("y", ()))))
     assert localize_morphism(mu2).blocks == (("q", ("p", (0, 2, 2))),)
-    verdict = is_in_E(mu2)
-    assert not verdict.verdict and verdict.reason == "fiber-order-iso"
+    assert is_in_E(mu2) is False
 
 
 def test_round_square_collapse_and_E():
@@ -110,10 +109,10 @@ def test_round_square_collapse_and_E():
     mub = OmegaMorLambda(za, zb, ID_DIAMOND, gbar)
     lamb = localize_morphism(mub)
     assert lamb.src == CyclicRank(1) and lamb.dst == CyclicRank(0)
-    assert not is_in_E(mub).verdict
+    assert is_in_E(mub) is False
 
     muc = OmegaMorLambda(zb, zb, ID_DIAMOND, AssMor(zb.carrier, zb.carrier, (("b0", ("b0",)),)))
-    assert is_in_E(muc).verdict
+    assert is_in_E(muc) is True
     assert is_identity_like(localize_morphism(muc))
 
 
@@ -127,8 +126,7 @@ def test_round_to_pointed_collapse_is_mixed_shape():
     assert isinstance(lam, CycToFamilyMor)
     assert lam.src == CyclicRank(1)
     assert lam.dst == FamilyObj((("q", 2),))
-    verdict = is_in_E(mu)
-    assert not verdict.verdict and verdict.reason == "mixed-shape"
+    assert is_in_E(mu) is False
 
 
 def test_weak_fiber_initial_rows():
@@ -227,3 +225,10 @@ def test_verification_sweep_is_red_on_factorization_uniqueness():
     # records the current state, not a goal: ROADMAP item 1 owns the fix
     rep = verify_localization(LocalizeBudget(1, 1, 1, 0))
     assert Counter(f.check for f in rep.findings) == {"factorization-universality": 73}
+
+
+def test_rank_zero_budget_is_swept_and_red():
+    # max_rank 0 still bounds round rows and tuples; the sweep checks them
+    rep = verify_localization(LocalizeBudget(0, 1, 1, 0))
+    assert not rep.ok
+    assert Counter(f.check for f in rep.findings) == {"factorization-universality": 36}

@@ -4,34 +4,30 @@ from math import comb
 import pytest
 
 from segalspans.dualities import D_on_map
-from segalspans.labels import BOTTOM, label_key
+from segalspans.labels import BOTTOM
 from segalspans.orders import (
-    CompatLinOrder,
     CycMap,
     CycOrd,
-    IntervalMap,
-    LexSumWitness,
     LinMap,
     LinOrd,
     all_cyc_maps,
-    all_interval_maps,
-    all_lin_maps,
-    compare_lex_sum,
-    compat_linear_orders,
     cyc_map_by,
-    cyclic_mismatch,
     identity_cyc,
     identity_lin,
+    rotation_map,
+    standard_cycle,
+    standard_order,
+)
+
+from reference_orders import (
+    IntervalMap,
+    all_interval_maps,
+    all_lin_maps,
     imbrication,
     imbrication_map,
-    lex_cyclic_union,
     ordinal_sum,
     ordinal_sum_many,
     ordinal_sum_map,
-    rotation_map,
-    skeletalize,
-    standard_cycle,
-    standard_order,
     tag_order,
 )
 
@@ -194,23 +190,6 @@ def test_cycord_successor_and_arc():
     assert c.arc(2, 1) == (2, 3, 0, 1)
     assert c.arc(1, 1) == (1,)
     assert c.linear_from(2).elements == (2, 3, 0, 1)
-
-
-def test_compat_linear_orders_count_equals_size():
-    for cyc in [
-        standard_cycle(0),
-        standard_cycle(3),
-        standard_cycle(5),
-        CycOrd(("p", "q", "r", 7, (1,), "z")),
-    ]:
-        orders = compat_linear_orders(cyc)
-        assert len(orders) == len(cyc)
-        assert len({o.listing for o in orders}) == len(cyc)
-        for o in orders:
-            assert o.rank == cyc.skeletal_rank
-            assert o.iso(0) == o.listing[0]
-    with pytest.raises(ValueError):
-        CompatLinOrder(standard_cycle(2), (0, 2, 1))
 
 
 def test_cycmap_validation():
@@ -389,64 +368,31 @@ def test_cyc_map_by_recovers_fiber_orders():
         cyc_map_by(c3, c1, lambda x: 0)
 
 
-# ---------------------------------------------------------------- unions
-
-
-def test_lex_cyclic_union_examples():
-    two = CycOrd(("a", "b"))
-    u = lex_cyclic_union(two, {"a": LinOrd((("a", 0),)), "b": LinOrd((("b", 0),))})
-    assert len(u) == 2
-    one = standard_cycle(0)
-    w = lex_cyclic_union(one, {0: LinOrd(("p", "q", "r"))})
-    assert w.successor("r") == "p" and w.successor("p") == "q"
-    v = lex_cyclic_union(two, {"a": LinOrd((("a", 0), ("a", 1))), "b": LinOrd((("b", 0),))})
-    assert v.successor(("a", 1)) == ("b", 0)
-    assert v.successor(("b", 0)) == ("a", 0)
-
-
-def test_lex_cyclic_union_skips_empty_members():
-    c = standard_cycle(2)
-    fam = {0: LinOrd(("x",)), 1: standard_order(-1), 2: LinOrd(("y",))}
-    u = lex_cyclic_union(c, fam)
-    assert u.successor("x") == "y" and u.successor("y") == "x"
-    with pytest.raises(ValueError):
-        lex_cyclic_union(c, {0: standard_order(-1), 1: standard_order(-1), 2: standard_order(-1)})
-    with pytest.raises(ValueError):
-        lex_cyclic_union(c, {0: LinOrd(("x",)), 1: LinOrd(("x",)), 2: LinOrd(("y",))})
-    with pytest.raises(ValueError):
-        lex_cyclic_union(c, {0: LinOrd(("x",))})
-
-
-def test_compare_lex_sum_certifies_identity():
-    c = standard_cycle(2)
-    fam = {0: LinOrd((("a", 0), ("a", 1))), 1: LinOrd((("b", 0),)), 2: LinOrd((("c", 0),))}
-    for phi in compat_linear_orders(c):
-        w = compare_lex_sum(c, phi, fam)
-        assert isinstance(w, LexSumWitness)
-        assert w.equal and w.mismatch is None
-        assert w.carrier == tuple(sorted(w.carrier, key=label_key))
-
-
-def test_compare_lex_sum_flags_corruption():
-    c = CycOrd(("a", "b"))
-    fam = {"a": LinOrd((("a", 0), ("a", 1))), "b": LinOrd((("b", 0),))}
-    phi = compat_linear_orders(c)[0]
-    good = lex_cyclic_union(c, fam)
-    corrupted = CycOrd((("a", 0), ("b", 0), ("a", 1)))
-    w = compare_lex_sum(c, phi, fam, claimed_union=corrupted)
-    assert not w.equal
-    element, left, right = w.mismatch
-    assert left != right
-
-
-def test_cyclic_mismatch_requires_same_carrier():
-    with pytest.raises(ValueError):
-        cyclic_mismatch(standard_cycle(1), standard_cycle(2))
-    assert cyclic_mismatch(standard_cycle(2), standard_cycle(2)) is None
-
-
-def test_skeletalize():
-    s = LinOrd(("p", "q", "r"))
-    std, back = skeletalize(s)
-    assert std == standard_order(2)
-    assert back == {"p": 0, "q": 1, "r": 2}
+def test_composites_equal_the_validating_constructor():
+    # compose skips validation, so it must store exactly what the
+    # validating constructor stores for the same map
+    cycles = [standard_cycle(n) for n in range(4)]
+    maps = {(a, b): list(all_cyc_maps(a, b)) for a in cycles for b in cycles}
+    checked = 0
+    for a, b, c in itertools.product(cycles, repeat=3):
+        for f in maps[(a, b)]:
+            for g in maps[(b, c)]:
+                got = g.compose(f)
+                # listed backwards, for the constructor to put in order
+                fibers = tuple(
+                    (d, tuple(x for m in g.fiber(d) for x in f.fiber(m)))
+                    for d in reversed(c.cycle)
+                )
+                want = CycMap(a, c, fibers)
+                assert got == want and got.fibers == want.fibers
+                assert hash(got) == hash(want)
+                checked += 1
+    assert checked == 62901
+    orders = [standard_order(n) for n in range(-1, 4)]
+    for a, b, c in itertools.product(orders, repeat=3):
+        for f in all_lin_maps(a, b):
+            for g in all_lin_maps(b, c):
+                got = g.compose(f)
+                want = LinMap(a, c, tuple(g(f(x)) for x in a.elements))
+                assert got == want and got.images == want.images
+                assert type(got.images) is tuple

@@ -1,5 +1,6 @@
 """The packaging metadata points only at files and entry points that
-exist, and the package carries no code without a caller."""
+exist, and the package carries no code that its entry points do not
+reach."""
 
 import ast
 import dataclasses
@@ -40,7 +41,6 @@ def test_declared_scripts_import():
 
 
 PACKAGE = ROOT / "src" / "segalspans"
-SEARCHED = ("src", "tests", "perfbench")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -94,27 +94,75 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+# besides every check_* and every generator
+ENTRY_POINTS = ("validate", "verify_localization", "LocalizeBudget")
+
+
+def _package():
+    """module -> (top-level name -> statement, imported name -> (module, name))."""
+    modules = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        defs = {name: stmt for stmt in tree.body for name in _defined(stmt)}
+        # imports inside functions count too
+        imports = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        modules[path.stem] = (defs, imports)
+    return modules
+
+
+def _benchmark_names():
+    """(module, name) pairs the benchmark imports, or names in a string
+    such as the tracer's "finset.FinMap.validated" or public("cycy.check_cy_conditions")."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("segalspans."):
+                names.update((node.module.split(".", 1)[1], a.name) for a in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if len(parts) > 1:
+                    names.add((parts[0], parts[1]))
+    return names
+
+
 def test_every_top_level_name_has_a_user():
-    # a name used only inside its own definition (recursion, a class
-    # naming itself) counts as unused
-    defined = {}
-    used = set()
-    for folder in SEARCHED:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = _parse(path)
-            docstrings = _docstring_ids(tree)
-            for stmt in tree.body:
-                own = _defined(stmt)
-                if path.parent == PACKAGE:
-                    for name in own:
-                        defined[name] = f"{path.name}:{stmt.lineno}"
-                used.update(w for w in _words(stmt, docstrings) if w not in own)
-    unused = sorted(
-        f"{where} {name}"
-        for name, where in defined.items()
-        if name not in used and not name.startswith("__")
+    # the users are the entry points and what they reach: a definition
+    # reaches every top-level name its statement mentions.  Tests are no
+    # entry point, so code that only tests call belongs in tests/
+    modules = _package()
+    todo = [
+        (stem, name)
+        for stem, (defs, _) in modules.items()
+        for name in defs
+        if stem == "generators" or name.startswith("check_") or name in ENTRY_POINTS
+    ]
+    todo += _benchmark_names()
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached or key[0] not in modules:
+            continue
+        defs, imports = modules[key[0]]
+        if key[1] in imports:
+            todo.append(imports[key[1]])
+        if key[1] not in defs:
+            continue
+        reached.add(key)
+        for node in ast.walk(defs[key[1]]):
+            if isinstance(node, ast.Name):
+                todo.append(imports.get(node.id, (key[0], node.id)))
+    unreached = sorted(
+        f"{stem}.{name}"
+        for stem, (defs, _) in modules.items()
+        for name in defs
+        if (stem, name) not in reached
     )
-    assert not unused, unused
+    assert not unreached, unreached
 
 
 def test_every_relative_import_is_used():

@@ -20,9 +20,12 @@ from segalspans.segal import (
     triangulations,
 )
 from segalspans.report import Report
-from segalspans.orders import all_lin_maps, standard_order
-from segalspans.sobj import SimpObj, apply_delta_op, relabel, simplex_map, truncate
+from segalspans.orders import standard_order
+from segalspans.sobj import SimpObj, apply_delta_op, simplex_map
 from segalspans.spanalg import check_algebra_conditions
+
+from reference_orders import all_lin_maps
+from sobj_fixtures import relabel, truncate
 
 Z2 = cyclic_group_table(2)
 Z3 = cyclic_group_table(3)

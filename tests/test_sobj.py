@@ -18,7 +18,6 @@ from segalspans.generators import (
 from segalspans.orders import (
     LinMap,
     all_cyc_maps,
-    all_lin_maps,
     rotation_map,
     standard_cycle,
     standard_order,
@@ -28,11 +27,12 @@ from segalspans.sobj import (
     SimpObj,
     apply_delta_op,
     apply_lambda_op,
-    relabel,
     simplex_map,
-    truncate,
     validate,
 )
+
+from reference_orders import all_lin_maps
+from sobj_fixtures import relabel, truncate
 
 Z2 = cyclic_group_table(2)
 Z3 = cyclic_group_table(3)

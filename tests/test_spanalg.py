@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from segalspans.finset import is_equivalence_span, spans_isomorphic
 from segalspans.generators import (
     cyclic_group_table,
     flag_decomposition,
