@@ -29,8 +29,6 @@ from .finset import (
     identity_span,
     product_carrier,
     product_label,
-    product_set,
-    pullback,
     reverse_span,
     spans_isomorphic,
     tensor_spans,
@@ -48,7 +46,7 @@ from .orders import (
 from .dualities import PointedSet
 from .report import Report
 from .sobj import CycObj, apply_lambda_op, simplex_map
-from .segal import judge_bijection, judge_pullback_bijection
+from .segal import judge_bijection, judge_pullback_bijection, judge_square
 from .spanalg import (
     check_block,
     check_rank,
@@ -124,11 +122,6 @@ class AssMor:
             for t, f in self.fibers
         )
         return AssMor(other.src, self.dst, fibers)
-
-    def is_iso(self):
-        return len(self.src) == len(self.dst) and all(
-            len(f) == 1 for _, f in self.fibers
-        )
 
 
 @dataclass(frozen=True)
@@ -868,16 +861,10 @@ def check_cy_conditions(x):
         edge = simplex_map(x, n, (0, n))
         vertex = simplex_map(x, n - 1, (n - 1,))
         twisted = x.rot(1).compose(edge)
-        pb, _, _ = pullback(twisted, x.degen(0, 0))
         twist_in = x.rot(n).compose(x.degen(n - 1, n - 1))
-        comparison = list(zip(twist_in.assignment, vertex.assignment))
-        judge_bijection(
-            rep,
-            "rotation-degeneracy-square",
-            (n,),
-            x.level(n - 1),
-            comparison,
-            pb,
+        judge_square(
+            rep, "rotation-degeneracy-square", (n,),
+            twist_in, vertex, twisted, x.degen(0, 0),
         )
 
     rep.extend(check_nondegeneracy(x))
@@ -908,8 +895,8 @@ def pairing_span(x):
 
 
 def _assoc_span(x1, pairs, to_left):
-    nested_r, _, _ = product_set(x1, pairs)
-    nested_l, _, _ = product_set(pairs, x1)
+    nested_r = product_carrier((x1, pairs))
+    nested_l = product_carrier((pairs, x1))
     if to_left:
         return Span(
             nested_r, nested_l, nested_r,

@@ -210,11 +210,6 @@ class IntervalContextMap:
         if not (lo_img <= k <= l <= hi_img):
             raise ValueError("not an interval-context morphism")
 
-    def compose(self, other):
-        if other.dst != self.src:
-            raise ValueError("middle contexts disagree")
-        return IntervalContextMap(other.src, self.dst, self.map.compose(other.map))
-
 
 def res(m):
     """Dual of a context morphism on the inner gaps of the marked intervals.

@@ -1,8 +1,12 @@
 """Finite sets, maps between them, spans, and limits of finite diagrams.
 
 Everything is label-based and deterministic: sets keep their elements
-in a canonical order, and every constructed object (pullbacks, limits,
-composites of spans) has reproducible element labels.
+in a canonical order, and every constructed object (limits, products,
+composites of spans) has reproducible element labels.  Slotwise maps
+between products are built on element positions (``gather_positions``).
+A pullback carrier is built only as the apex of a span composite:
+checkers judge their pullback squares on positions
+(``segal.judge_square``) and build no fiber product.
 """
 
 from __future__ import annotations
@@ -45,12 +49,6 @@ class FinSet:
     def __contains__(self, x):
         return x in self._positions()
 
-    def index(self, x):
-        pos = self._positions()
-        if x not in pos:
-            raise ValueError(f"{x!r} is not in this set")
-        return pos[x]
-
 
 def terminal_set():
     """The one-point set; its element is the empty tuple."""
@@ -85,9 +83,6 @@ class FinMap:
         except KeyError:
             raise ValueError(f"{x!r} is not in the source") from None
 
-    def as_dict(self):
-        return dict(zip(self.src.elements, self.assignment))
-
     def positions(self):
         """The position in dst of each image, in canonical src order."""
         return tuple(map(self.dst._positions().__getitem__, self.assignment))
@@ -99,17 +94,8 @@ class FinMap:
         images = map(self._lookup().__getitem__, other.assignment)
         return FinMap(other.src, self.dst, tuple(images))
 
-    def fiber(self, y):
-        return tuple(x for x, v in zip(self.src.elements, self.assignment) if v == y)
-
     def is_bijection(self):
         return len(set(self.assignment)) == len(self.src) == len(self.dst)
-
-    def inverse(self):
-        if not self.is_bijection():
-            raise ValueError("not a bijection")
-        back = {v: x for x, v in zip(self.src.elements, self.assignment)}
-        return FinMap(self.dst, self.src, tuple(back[y] for y in self.dst.elements))
 
 
 def identity_fin(s):
@@ -185,21 +171,6 @@ def _projection(p, i, s):
     return FinMap(p, s, tuple(map(itemgetter(i), p.elements)))
 
 
-def slotwise_map(src, dst, slot_maps):
-    """The map sending a tuple t of src to (m[t[i]] for i, m in slot_maps).
-
-    Each m is a mapping defined on the entries of slot i.  The image
-    tuples are zipped from one gathered column per slot, so with dicts no
-    Python code runs per element; with no slots every element goes to ().
-    """
-    if not slot_maps:
-        return constant_map(src, dst, ())
-    columns = [
-        map(m.__getitem__, map(itemgetter(i), src.elements)) for i, m in slot_maps
-    ]
-    return FinMap(src, dst, tuple(zip(*columns)))
-
-
 def tupled_values(src, maps):
     """The rows tuple(m(x) for m in maps), one per x in src, as a list.
 
@@ -211,12 +182,6 @@ def tupled_values(src, maps):
     if not maps:
         return [()] * len(src)
     return list(zip(*(m.assignment for m in maps)))
-
-
-def product_set(a, b):
-    """Binary product with pair labels; returns (object, proj1, proj2)."""
-    p = product_carrier((a, b))
-    return p, _projection(p, 0, a), _projection(p, 1, b)
 
 
 def big_product(sets):
@@ -426,12 +391,18 @@ def compose_spans(s, t):
 
 def tensor_spans(s, t):
     """Componentwise product of two spans, with pair labels throughout."""
-    lo, _, _ = product_set(s.left_obj, t.left_obj)
-    ro, _, _ = product_set(s.right_obj, t.right_obj)
-    ap, _, _ = product_set(s.apex, t.apex)
-    ll = slotwise_map(ap, lo, ((0, s.left_leg._lookup()), (1, t.left_leg._lookup())))
-    rl = slotwise_map(ap, ro, ((0, s.right_leg._lookup()), (1, t.right_leg._lookup())))
-    return Span(lo, ro, ap, ll, rl)
+    ap = product_carrier((s.apex, t.apex))
+
+    def leg(a, b):
+        dst = product_carrier((a.dst, b.dst))
+        reads = ((0, a.positions()), (1, b.positions()))
+        column = gather_positions(
+            (len(s.apex), len(t.apex)), reads, (len(a.dst), len(b.dst))
+        )
+        return FinMap(ap, dst, tuple(map(dst.elements.__getitem__, column)))
+
+    ll, rl = leg(s.left_leg, t.left_leg), leg(s.right_leg, t.right_leg)
+    return Span(ll.dst, rl.dst, ap, ll, rl)
 
 
 def spans_isomorphic(s, t):

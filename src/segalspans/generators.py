@@ -39,6 +39,14 @@ def is_group(table, unit):
     )
 
 
+def _simplicial(sets, face, degen):
+    """The simplicial object with levels sets and the maps face(n, i), degen(n, i)."""
+    n_top = len(sets) - 1
+    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, n_top + 1))
+    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(n_top))
+    return SimpObj(tuple(sets), faces, degens)
+
+
 def nerve_of_monoid(table, n_top, unit=0):
     """The nerve: rank n carries length-n tuples of monoid elements.
 
@@ -65,9 +73,7 @@ def nerve_of_monoid(table, n_top, unit=0):
     def degen(n, i):
         return fin_map_by(sets[n], sets[n + 1], lambda x: x[:i] + (unit,) + x[i:])
 
-    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, n_top + 1))
-    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(n_top))
-    return SimpObj(tuple(sets), faces, degens)
+    return _simplicial(sets, face, degen)
 
 
 def cyclic_nerve_of_group(table, n_top, unit=0):
@@ -99,9 +105,7 @@ def cyclic_nerve_of_group(table, n_top, unit=0):
     def rot(n):
         return fin_map_by(sets[n], sets[n], lambda x: (x[n],) + x[:n])
 
-    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, n_top + 1))
-    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(n_top))
-    base = SimpObj(tuple(sets), faces, degens)
+    base = _simplicial(sets, face, degen)
     return CycObj(base, tuple(rot(n) for n in range(n_top + 1)))
 
 
@@ -122,9 +126,7 @@ def cech_nerve(f, n_top):
     def degen(n, i):
         return fin_map_by(sets[n], sets[n + 1], lambda x: x[: i + 1] + (x[i],) + x[i + 1 :])
 
-    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, n_top + 1))
-    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(n_top))
-    return SimpObj(tuple(sets), faces, degens)
+    return _simplicial(sets, face, degen)
 
 
 def flag_decomposition(universe_size, n_top):
@@ -166,9 +168,7 @@ def flag_decomposition(universe_size, n_top):
     def degen(n, i):
         return fin_map_by(sets[n], sets[n + 1], lambda x: x[:i] + ((),) + x[i:])
 
-    faces = tuple(tuple(face(n, i) for i in range(n + 1)) for n in range(1, n_top + 1))
-    degens = tuple(tuple(degen(n, i) for i in range(n + 1)) for n in range(n_top))
-    return SimpObj(tuple(sets), faces, degens)
+    return _simplicial(sets, face, degen)
 
 
 def cyclic_group_table(k):

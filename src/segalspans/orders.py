@@ -53,32 +53,12 @@ class LinOrd:
     def position(self, x):
         return self.elements.index(x)
 
-    @property
-    def bottom(self):
-        if not self.elements:
-            raise ValueError("empty order has no bottom")
-        return self.elements[0]
-
-    @property
-    def top(self):
-        if not self.elements:
-            raise ValueError("empty order has no top")
-        return self.elements[-1]
-
     def between(self, lo, hi):
         """The closed sub-order from lo to hi."""
         i, j = self.position(lo), self.position(hi)
         if i > j:
             raise ValueError("between() requires lo <= hi")
         return LinOrd(self.elements[i : j + 1])
-
-    def restrict(self, labels):
-        """The sub-order on the given labels, in the inherited order."""
-        keep = set(labels)
-        missing = keep - set(self.elements)
-        if missing:
-            raise ValueError(f"labels not in order: {sorted(missing, key=label_key)!r}")
-        return LinOrd(tuple(x for x in self.elements if x in keep))
 
 
 def standard_order(n):
@@ -121,25 +101,6 @@ class LinMap:
             raise ValueError("middle objects disagree")
         images = tuple(self(y) for y in other.images)
         return trusted(LinMap, src=other.src, dst=self.dst, images=images)
-
-    def is_iso(self):
-        return len(self.src) == len(self.dst) and len(set(self.images)) == len(
-            self.images
-        )
-
-    def inverse(self):
-        if not self.is_iso():
-            raise ValueError("map is not invertible")
-        back = {y: x for x, y in zip(self.src.elements, self.images)}
-        return LinMap(self.dst, self.src, tuple(back[y] for y in self.dst.elements))
-
-    def is_endpoint_preserving(self):
-        return (
-            len(self.src) > 0
-            and len(self.dst) > 0
-            and self.images[0] == self.dst.bottom
-            and self.images[-1] == self.dst.top
-        )
 
 
 def identity_lin(order):
@@ -200,27 +161,6 @@ class CycOrd:
     def __contains__(self, x):
         return x in self.cycle
 
-    def successor(self, x):
-        i = self.cycle.index(x)
-        return self.cycle[(i + 1) % len(self.cycle)]
-
-    def predecessor(self, x):
-        i = self.cycle.index(x)
-        return self.cycle[i - 1]
-
-    def linear_from(self, x):
-        """The compatible linear order that starts at x."""
-        i = self.cycle.index(x)
-        return LinOrd(self.cycle[i:] + self.cycle[:i])
-
-    def arc(self, a, b):
-        """Elements from a to b inclusive, walking forward."""
-        i = self.cycle.index(a)
-        j = self.cycle.index(b)
-        n = len(self.cycle)
-        span = (j - i) % n
-        return tuple(self.cycle[(i + k) % n] for k in range(span + 1))
-
 
 def standard_cycle(n):
     """The skeletal cyclic order on 0..n."""
@@ -269,10 +209,6 @@ class CycMap:
             if x in f:
                 return d
         raise ValueError(f"{x!r} is not in the source")
-
-    @property
-    def assignment(self):
-        return {x: d for d, f in self.fibers for x in f}
 
     def fiber(self, d):
         for dd, f in self.fibers:

@@ -19,14 +19,6 @@ class Finding:
     witness: object = None
     detail: str = ""
 
-    def to_json(self):
-        return {
-            "check": self.check,
-            "location": list(self.location),
-            "witness": _jsonable(self.witness),
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class Report:
@@ -47,23 +39,3 @@ class Report:
     def extend(self, other):
         self.findings.extend(other.findings)
         self.scope.extend(f"{other.title}: {s}" for s in other.scope)
-
-    def to_json(self):
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "findings": [f.to_json() for f in self.findings],
-            "scope": list(self.scope),
-        }
-
-    def summary(self):
-        state = "ok" if self.ok else f"{len(self.findings)} failure(s)"
-        return f"{self.title}: {state}"
-
-
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(y) for y in x]
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
-    return repr(x)

@@ -1,9 +1,13 @@
 """Segal-type checkers for truncated simplicial objects.
 
 Two independent formulations of the 2-dimensional gluing condition are
-provided: the binary-square form (one fiber product per decomposition
+provided: the binary-square form (one pullback square per decomposition
 of an interval into two blocks) and the polygon-triangulation form
 (one limit per triangulation).  They serve as oracles for each other.
+A square is judged on element positions by ``judge_square``: no fiber
+product is built, and labels are decoded only for a witness.  The
+triangulation form builds every limit and stays the independent,
+label-level oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from collections import Counter
 from itertools import repeat
 from operator import add, eq, mul
 
-from .finset import FinDiagram, limit, pullback, tupled_values
+from .finset import FinDiagram, limit, tupled_values
 from .labels import label_key
 from .report import Report
 from .sobj import simplex_map
@@ -62,6 +66,24 @@ def judge_pullback_bijection(
     _judge_images(
         rep, check, location, keys, inside, size, target_keys(), src_label,
         lambda k: (a_label(k // nb), b_label(k % nb)),
+    )
+
+
+def judge_square(rep, check, location, left, right, f, g):
+    """judge_bijection of P -> A x_C B, p -> (left(p), right(p)), for the
+    FinMaps left: P -> A, right: P -> B, f: A -> C and g: B -> C.
+
+    The square is judged on positions by judge_pullback_bijection, and a
+    witness is decoded by the labels of P, A and B.
+    """
+    if f.dst != g.dst:
+        raise ValueError("pullback needs a shared codomain")
+    if left.src != right.src or left.dst != f.src or right.dst != g.src:
+        raise ValueError("square legs do not meet the cospan")
+    judge_pullback_bijection(
+        rep, check, location,
+        *(m.positions() for m in (left, right, f, g)),
+        *(m.src.elements.__getitem__ for m in (left, f, g)),
     )
 
 
@@ -137,9 +159,7 @@ def check_2segal(x):
         to_m = simplex_map(x, big, range(j - 1, j + m))
         edge_n = simplex_map(x, n, (j - 1, j))
         edge_m = simplex_map(x, m, (0, m))
-        pb, _, _ = pullback(edge_n, edge_m)
-        values = tupled_values(x.level(big), (to_n, to_m))
-        judge_bijection(rep, "2segal-square", (n, m, j), x.level(big), values, pb)
+        judge_square(rep, "2segal-square", (n, m, j), to_n, to_m, edge_n, edge_m)
     rep.note_scope(f"squares through rank {x.top_rank}")
     return rep
 
@@ -159,9 +179,7 @@ def check_unital(x):
             s_i = simplex_map(x, n - 1, (*range(i + 1), *range(i, n)))
             vert = simplex_map(x, n - 1, (i,))
             edge = simplex_map(x, n, (i, i + 1))
-            pb, _, _ = pullback(edge, degen_edge)
-            values = tupled_values(x.level(n - 1), (s_i, vert))
-            judge_bijection(rep, "unital-square", (n, i), x.level(n - 1), values, pb)
+            judge_square(rep, "unital-square", (n, i), s_i, vert, edge, degen_edge)
     rep.note_scope(f"degenerate blocks through rank {top}")
     return rep
 

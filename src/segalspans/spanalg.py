@@ -26,13 +26,11 @@ from .finset import (
     Span,
     compose_spans,
     fin_map_by,
+    gather_positions,
     identity_span,
     limit,
     product_carrier,
-    product_set,
-    pullback,
     reverse_span,
-    slotwise_map,
     span_from_maps,
     spans_isomorphic,
     tensor_spans,
@@ -42,7 +40,7 @@ from .finset import (
 )
 from .labels import label_key
 from .report import Report
-from .segal import judge_bijection, square_instances
+from .segal import judge_bijection, judge_square, square_instances
 from .sobj import simplex_map
 
 
@@ -216,11 +214,15 @@ class StarFunctor:
         return product_carrier([self.x.level(r) for r in obj.ranks])
 
     def action(self, mor):
-        slot_maps = [
-            (i, simplex_map(self.x, mor.src.ranks[i], verts).as_dict())
+        src, dst = self.value(mor.src), self.value(mor.dst)
+        reads = [
+            (i, simplex_map(self.x, mor.src.ranks[i], verts).positions())
             for i, verts in mor.blocks
         ]
-        return slotwise_map(self.value(mor.src), self.value(mor.dst), slot_maps)
+        src_sizes = [len(self.x.level(r)) for r in mor.src.ranks]
+        dst_sizes = [len(self.x.level(r)) for r in mor.dst.ranks]
+        column = gather_positions(src_sizes, reads, dst_sizes)
+        return FinMap(src, dst, tuple(map(dst.elements.__getitem__, column)))
 
 
 def check_algebra_conditions(x):
@@ -252,11 +254,10 @@ def check_algebra_conditions(x):
         )
         if to_ones.compose(asm_big) != asm_n.compose(outer):
             raise AssertionError("reduced square does not commute")
-        pb, _, _ = pullback(f.action(to_ones), f.action(asm_n))
-        a1 = f.action(asm_big)
-        a2 = f.action(outer)
-        values = tupled_values(a1.src, (a1, a2))
-        judge_bijection(rep, "reduced-square", (n, m, j), a1.src, values, pb)
+        judge_square(
+            rep, "reduced-square", (n, m, j), f.action(asm_big), f.action(outer),
+            f.action(to_ones), f.action(asm_n),
+        )
     rep.note_scope(f"reduced squares through rank {top}")
     # products: the value of a tuple is the product of its slot values
     for ranks in [(1, 1), (1, 2), (2, 1), (2, 1, 2)]:
@@ -333,8 +334,8 @@ def unitor_spans(x1):
 
     Returned as (into_right, out_of_right, into_left, out_of_left).
     """
-    right, _, _ = product_set(x1, terminal_set())
-    left, _, _ = product_set(terminal_set(), x1)
+    right = product_carrier((x1, terminal_set()))
+    left = product_carrier((terminal_set(), x1))
     into_right = Span(
         x1, right, x1, fin_map_by(x1, x1, lambda e: e),
         fin_map_by(x1, right, lambda e: (e, ())),

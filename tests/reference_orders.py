@@ -7,7 +7,9 @@ with their comparison witness.  ``dualities.D_on_map`` computes the
 cyclic gap dual directly on positions; the tests check it against the
 construction here, which dualizes on outer gaps, glues endpoints and
 conjugates by ``closure_square_witness``.  The order fixtures
-``all_lin_maps`` and ``tag_order`` live here too.
+``all_lin_maps`` and ``tag_order`` live here too, with the endpoint and
+linearization helpers (``bottom``, ``top``, ``is_endpoint_preserving``,
+``linear_from``) that only these constructions read.
 """
 
 from __future__ import annotations
@@ -35,6 +37,36 @@ def all_lin_maps(src, dst):
         yield LinMap(src, dst, tuple(dst.elements[p] for p in pos))
 
 
+def bottom(order):
+    """The least element of a nonempty linear order."""
+    if not order.elements:
+        raise ValueError("empty order has no bottom")
+    return order.elements[0]
+
+
+def top(order):
+    """The greatest element of a nonempty linear order."""
+    if not order.elements:
+        raise ValueError("empty order has no top")
+    return order.elements[-1]
+
+
+def is_endpoint_preserving(f):
+    """Whether a monotone map between nonempty orders fixes both ends."""
+    return (
+        len(f.src) > 0
+        and len(f.dst) > 0
+        and f.images[0] == bottom(f.dst)
+        and f.images[-1] == top(f.dst)
+    )
+
+
+def linear_from(cycle, x):
+    """The linear order compatible with a cyclic order that starts at x."""
+    i = cycle.cycle.index(x)
+    return LinOrd(cycle.cycle[i:] + cycle.cycle[:i])
+
+
 # --------------------------------------------------------------------------
 # interval maps
 
@@ -50,7 +82,7 @@ class IntervalMap:
     underlying: LinMap
 
     def __post_init__(self):
-        if not self.underlying.is_endpoint_preserving():
+        if not is_endpoint_preserving(self.underlying):
             raise ValueError("map does not preserve both endpoints")
 
     @property
@@ -70,7 +102,7 @@ class IntervalMap:
 
 def all_interval_maps(src, dst):
     for f in all_lin_maps(src, dst):
-        if f.is_endpoint_preserving():
+        if is_endpoint_preserving(f):
             yield IntervalMap(f)
 
 
@@ -131,7 +163,7 @@ def imbrication_map(f, g):
     src = imbrication(f.src, g.src)
     dst = imbrication(f.dst, g.dst)
     images = f.images + tuple(
-        y if y != g.dst.bottom else f.dst.top for y in g.images[1:]
+        y if y != bottom(g.dst) else top(f.dst) for y in g.images[1:]
     )
     return LinMap(src, dst, images)
 
@@ -205,8 +237,8 @@ def interval_closure_map(g):
     f = g.underlying
     src_c = interval_closure(f.src)
     dst_c = interval_closure(f.dst)
-    top_s = f.src.top
-    bot_d, top_d = f.dst.bottom, f.dst.top
+    top_s = top(f.src)
+    bot_d, top_d = bottom(f.dst), top(f.dst)
     fibers = {y: [x for x in f.fiber(y) if x != top_s] for y in f.dst.elements[:-1]}
     fibers[bot_d] = [x for x in f.fiber(top_d) if x != top_s] + fibers[bot_d]
     return CycMap(src_c, dst_c, tuple((d, tuple(v)) for d, v in fibers.items()))
@@ -223,6 +255,6 @@ def closure_square_witness(order):
         raise ValueError("witness needs a nonempty order")
     src_c = interval_closure(outer_interstices(order))
     dst_c = cyclic_closure(order)
-    fibers = [(order.top, (BOTTOM,))]
+    fibers = [(top(order), (BOTTOM,))]
     fibers += [(x, (x,)) for x in order.elements[:-1]]
     return CycMap(src_c, dst_c, tuple(fibers))

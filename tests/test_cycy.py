@@ -10,7 +10,6 @@ from segalspans.cycy import (
     DIAMOND,
     ID_DIAMOND,
     AssMor,
-    CycRankMor,
     CycToFamilyMor,
     CyclicRank,
     DiamondMor,

@@ -18,11 +18,9 @@ from segalspans.finset import (
     limit,
     product_carrier,
     product_label,
-    product_set,
     product_strides,
     pullback,
     reverse_span,
-    slotwise_map,
     span_from_maps,
     spans_isomorphic,
     tensor_spans,
@@ -54,16 +52,6 @@ def test_finmap_validation_and_compose():
     # the first bad image, in source order, is the one named
     with pytest.raises(ValueError, match="image 7 not in codomain"):
         FinMap(b, b, (7, 0, 9))
-
-
-def test_finmap_inverse_and_fibers():
-    a = FinSet((0, 1, 2))
-    f = FinMap(a, a, (2, 0, 1))
-    assert f.inverse().compose(f).assignment == a.elements
-    assert f.fiber(0) == (1,)
-    assert constant_map(a, a, 1).fiber(1) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        constant_map(a, a, 1).inverse()
 
 
 def test_pullback_elements_and_projections():
@@ -116,7 +104,7 @@ def test_pullback_universal_property_small():
             assert len(factorings) == 1
 
 
-def test_big_product_projections_and_slotwise_maps():
+def test_big_product_projections():
     a = FinSet((0, 1))
     b = FinSet(("x", "y", "z"))
     for sets in ([a, b], [b, a, b], [a, FinSet(()), b], [a], []):
@@ -127,16 +115,6 @@ def test_big_product_projections_and_slotwise_maps():
         for i, (s, proj) in enumerate(zip(sets, projs)):
             assert (proj.src, proj.dst) == (p, s)
             assert proj.assignment == tuple(t[i] for t in p.elements)
-        # slot maps in order, reversed and read twice, and no slots at all
-        tagged = tuple(
-            (i, {x: (i, x) for x in s.elements}) for i, s in enumerate(sets)
-        )
-        for slots in ((), tagged, tagged[::-1] * 2):
-            dst = product_carrier([FinSet(tuple(m.values())) for _, m in slots])
-            got = slotwise_map(p, dst, slots)
-            assert got.assignment == tuple(
-                tuple(m[t[i]] for i, m in slots) for t in p.elements
-            )
 
 
 def test_product_positions_decode_and_gather():
@@ -148,8 +126,9 @@ def test_product_positions_decode_and_gather():
         strides = product_strides([len(s) for s in sets])
         for k, t in enumerate(p.elements):
             assert product_label(sets, k) == t
-            assert sum(s.index(v) * w for s, v, w in zip(sets, t, strides)) == k
-        # the gather agrees with slotwise_map read back as positions
+            assert sum(s.elements.index(v) * w for s, v, w in zip(sets, t, strides)) == k
+        # the gather agrees with the slotwise map t -> (m[t[i]] for i, m in
+        # slots), for slot maps in order, reversed and read twice, and none
         tagged = tuple(
             (i, {x: (i, x) for x in s.elements}) for i, s in enumerate(sets)
         )
@@ -157,12 +136,14 @@ def test_product_positions_decode_and_gather():
             dst_sets = [FinSet(tuple(m.values())) for _, m in slots]
             dst = product_carrier(dst_sets)
             reads = [
-                (i, [d.index(m[x]) for x in sets[i].elements])
+                (i, [d.elements.index(m[x]) for x in sets[i].elements])
                 for (i, m), d in zip(slots, dst_sets)
             ]
             sizes = [len(s) for s in sets]
             got = gather_positions(sizes, reads, [len(d) for d in dst_sets])
-            assert got == list(slotwise_map(p, dst, slots).positions())
+            assert [dst.elements[q] for q in got] == [
+                tuple(m[t[i]] for i, m in slots) for t in p.elements
+            ]
 
 
 def test_tupled_values_rows_and_source_check():
@@ -243,7 +224,7 @@ def _random_limit_diagram(rng):
         d = rng.choice([n for n in names if len(sets[n]) or n == s == empty])
         images = [rng.choice(sets[d].elements) for _ in sets[s].elements]
         if s in hidden and d in hidden:
-            images[sets[s].index(hidden[s])] = hidden[d]
+            images[sets[s].elements.index(hidden[s])] = hidden[d]
         arrows.append((s, d, FinMap(sets[s], sets[d], tuple(images))))
     return FinDiagram(tuple(sets.items()), tuple(arrows))
 
@@ -355,7 +336,7 @@ def test_spans_isomorphic_profile_sensitivity():
         spans_isomorphic(s, identity_span(FinSet(("w",))))
 
 
-def test_tensor_and_reverse_spans():
+def test_tensor_and_reverse_spans(rng):
     a = FinSet((0, 1))
     s = identity_span(a)
     t = tensor_spans(s, s)
@@ -364,6 +345,18 @@ def test_tensor_and_reverse_spans():
     assert t.left_leg.is_bijection() and t.right_leg.is_bijection()
     r = reverse_span(s)
     assert r.left_obj == s.right_obj
+    # each leg of a tensor acts on the pair (x, y) as the pair of legs
+    objs = [FinSet(tuple(range(n))) for n in (1, 2, 3)] + [FinSet(("u", (0,)))]
+    for _ in range(40):
+        u = _random_span(rng, rng.choice(objs), rng.choice(objs), rng.randrange(4))
+        v = _random_span(rng, rng.choice(objs), rng.choice(objs), rng.randrange(4))
+        t = tensor_spans(u, v)
+        assert t.apex == product_carrier((u.apex, v.apex))
+        assert t.left_obj == product_carrier((u.left_obj, v.left_obj))
+        assert t.right_obj == product_carrier((u.right_obj, v.right_obj))
+        for x, y in t.apex:
+            assert t.left_leg((x, y)) == (u.left_leg(x), v.left_leg(y))
+            assert t.right_leg((x, y)) == (u.right_leg(x), v.right_leg(y))
 
 
 def test_terminal_helpers():
@@ -371,5 +364,5 @@ def test_terminal_helpers():
     tm = terminal_map(a)
     assert tm.dst == terminal_set()
     assert tm.assignment == ((), ())
-    p, p1, p2 = product_set(a, terminal_set())
+    p, (p1, _) = big_product((a, terminal_set()))
     assert len(p) == 2 and p1.is_bijection()

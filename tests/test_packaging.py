@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -165,27 +166,73 @@ def test_every_top_level_name_has_a_user():
     assert not unreached, unreached
 
 
+def _attribute_names(node):
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+    )
+
+
+def test_every_method_has_a_user():
+    # a method or property of a package class is used when the package or
+    # the benchmark names it as an attribute outside its own body; one
+    # that only tests call belongs in tests/
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: _parse(path) for path in paths}
+    named = sum(map(_attribute_names, trees.values()), Counter())
+    unused = [
+        f"{path.stem}.{cls.name}.{fn.name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and named[fn.name] == _attribute_names(fn)[fn.name]
+    ]
+    assert not unused, unused
+
+
+def _unused_imports(path, counted):
+    """path:line name for each name that a top-level import statement
+    selected by counted binds and that the module never mentions."""
+    tree = _parse(path)
+    imported = {}
+    for stmt in tree.body:
+        if counted(stmt):
+            for alias in stmt.names:
+                imported[alias.asname or alias.name.split(".")[0]] = stmt.lineno
+    docstrings = _docstring_ids(tree)
+    seen = {
+        w
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        for w in _words(stmt, docstrings)
+    }
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in imported.items()
+        if name not in seen
+    ]
+
+
 def test_every_relative_import_is_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = _parse(path)
-        imported = {}
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ImportFrom) and stmt.level:
-                for alias in stmt.names:
-                    imported[alias.asname or alias.name] = stmt.lineno
-        docstrings = _docstring_ids(tree)
-        seen = {
-            w
-            for stmt in tree.body
-            if not isinstance(stmt, ast.ImportFrom)
-            for w in _words(stmt, docstrings)
-        }
-        unused += [
-            f"{path.name}:{line} {name}"
-            for name, line in imported.items()
-            if name not in seen
-        ]
+        unused += _unused_imports(
+            path, lambda stmt: isinstance(stmt, ast.ImportFrom) and stmt.level
+        )
+    assert not unused, unused
+
+
+def test_every_test_module_import_is_used():
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        unused += _unused_imports(
+            path,
+            lambda stmt: isinstance(stmt, ast.Import)
+            or (isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"),
+        )
     assert not unused, unused
 
 

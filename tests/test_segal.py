@@ -1,6 +1,10 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
-from segalspans.finset import FinMap, FinSet, fin_map_by, pullback
+from segalspans.finset import FinMap, FinSet, fin_map_by, pullback, tupled_values
 from segalspans.generators import (
     cech_nerve,
     cyclic_group_table,
@@ -9,13 +13,15 @@ from segalspans.generators import (
     min_monoid_table,
     nerve_of_monoid,
 )
+from segalspans import cycy, segal, spanalg
+from segalspans.cycy import check_cy_conditions
 from segalspans.segal import (
     check_1segal,
     check_2segal,
     check_2segal_triangulations,
     check_unital,
     judge_bijection,
-    judge_pullback_bijection,
+    judge_square,
     square_instances,
     triangulations,
 )
@@ -159,7 +165,7 @@ def test_degenerate_corruption_caught_by_unital():
 def swap_face_images(x, n, i, a, b):
     """x with the images of a and b under the face d_i at rank n swapped."""
     f = x.face(n, i)
-    pos_a, pos_b = f.src.index(a), f.src.index(b)
+    pos_a, pos_b = f.src.elements.index(a), f.src.elements.index(b)
     asg = list(f.assignment)
     assert asg[pos_a] != asg[pos_b]
     asg[pos_a], asg[pos_b] = asg[pos_b], asg[pos_a]
@@ -295,12 +301,86 @@ def test_positional_judge_matches_label_judge(src, images, detail):
     left = FinMap(s, a, tuple(v for v, _ in images))
     right = FinMap(s, b, tuple(w for _, w in images))
     by_label, by_position = Report("labels"), Report("positions")
-    pb, _, _ = pullback(f, g)
-    judge_bijection(by_label, "sq", (1,), s, list(images), pb)
-    judge_pullback_bijection(
-        by_position, "sq", (1,), left.positions(), right.positions(),
-        f.positions(), g.positions(), s.elements.__getitem__,
-        a.elements.__getitem__, b.elements.__getitem__,
-    )
+    label_square(by_label, "sq", (1,), left, right, f, g)
+    judge_square(by_position, "sq", (1,), left, right, f, g)
     assert [x.detail for x in by_label.findings] == ([detail] if detail else [])
     assert by_position.findings == by_label.findings
+
+
+def test_square_judge_rejects_a_square_that_does_not_close():
+    a, b = FinSet((0, 1)), FinSet(("x",))
+    f = FinMap(a, FinSet((0, 1)), (0, 1))
+    g = FinMap(b, FinSet((0,)), (0,))
+    left, right = FinMap(a, a, (0, 1)), FinMap(a, b, ("x", "x"))
+    with pytest.raises(ValueError, match="shared codomain"):
+        judge_square(Report("sq"), "sq", (), left, right, f, g)
+    with pytest.raises(ValueError, match="shared codomain"):
+        label_square(Report("sq"), "sq", (), left, right, f, g)
+    with pytest.raises(ValueError, match="do not meet"):
+        judge_square(Report("sq"), "sq", (), right, left, f, f)
+
+
+def label_square(rep, check, location, left, right, f, g):
+    """The label-level reference for judge_square: build the pullback of
+    f and g, then judge the tupled legs against it."""
+    pb, _, _ = pullback(f, g)
+    values = tupled_values(left.src, (left, right))
+    judge_bijection(rep, check, location, left.src, values, pb)
+
+
+def _perfbench_twins():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "twins.py"
+    spec = importlib.util.spec_from_file_location("perfbench_twins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SQUARE_CHECKS = (check_2segal, check_unital, check_algebra_conditions)
+
+# (object, twin seeds, checkers): the checkers judge every square of the
+# object and of its corrupted twins by judge_square, and each entry has
+# squares that pass and squares that fail.  Of the cyclic twins, seed 2
+# fails the rotation-degeneracy square through a face, seed 19 through a
+# rotation, and seed 5 passes it with a corrupted rotation.
+SQUARE_CORPUS = {
+    "nerve(z3,4)": (lambda: nerve_of_monoid(Z3, 4), range(40), SQUARE_CHECKS),
+    "nerve(min3,4)": (
+        lambda: nerve_of_monoid(min_monoid_table(3), 4, unit=2), range(12), SQUARE_CHECKS
+    ),
+    "flags(3,4)": (lambda: flag_decomposition(3, 4), range(12), SQUARE_CHECKS),
+    "cech(5->2,4)": (
+        lambda: cech_nerve(fin_map_by(FinSet(range(5)), FinSet((0, 1)), lambda a: a // 3), 4),
+        range(12),
+        SQUARE_CHECKS,
+    ),
+    "drop(z2,3)": (
+        lambda: drop_top_simplex(nerve_of_monoid(Z2, 3), (1, 1, 1)), (), SQUARE_CHECKS
+    ),
+    "cyclic(z3,3)": (lambda: cyclic_nerve_of_group(Z3, 3), (2, 5, 19), (check_cy_conditions,)),
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CORPUS)
+def test_square_judge_matches_label_reference(monkeypatch, name):
+    make, seeds, checks = SQUARE_CORPUS[name]
+    x = make()
+    corrupted_twin = _perfbench_twins().corrupted_twin
+    objects = [x] + [corrupted_twin(x, random.Random(s))[0] for s in seeds]
+    failed = set()
+
+    def both(rep, check, location, *maps):
+        # the finding each judge adds, if any, must be the same
+        reference = Report("labels")
+        label_square(reference, check, location, *maps)
+        before = len(rep.findings)
+        judge_square(rep, check, location, *maps)
+        assert rep.findings[before:] == reference.findings, (check, location)
+        failed.add(bool(reference.findings))
+
+    for module in (segal, spanalg, cycy):
+        monkeypatch.setattr(module, "judge_square", both)
+    for obj in objects:
+        for check in checks:
+            check(obj)
+    assert failed == {False, True}

@@ -10,7 +10,6 @@ from segalspans.generators import (
     cyclic_nerve_of_group,
     flag_decomposition,
     groups_up_to_order,
-    klein_four_table,
     min_monoid_table,
     nerve_of_monoid,
     sym3_table,
