@@ -2,6 +2,7 @@
 weak-fiber initial rows, universal factorizations, the hom enumerators
 and the state of the brute-force verification sweep."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from segalspans.localize import (
     is_in_E,
     localize_morphism,
     localize_object,
+    _run_splits,
     universal_factorization,
     verify_localization,
     weak_fiber_initial,
@@ -232,3 +234,106 @@ def test_rank_zero_budget_is_swept_and_red():
     rep = verify_localization(LocalizeBudget(0, 1, 1, 0))
     assert not rep.ok
     assert Counter(f.check for f in rep.findings) == {"factorization-universality": 36}
+
+
+def _finding_digest(rep):
+    h = hashlib.sha256()
+    for f in rep.findings:
+        h.update(repr((f.check, f.location, repr(f.witness), f.detail)).encode() + b"\n")
+    return h.hexdigest()
+
+
+FACTORIZATION_NOTE = (
+    "from the built initial row and a padded variant per tuple (plus a "
+    "one-cell cyclic source for family targets)"
+)
+
+# whole reports: the scope notes in order, and a digest of the findings
+# (check, location, witness repr, detail) in order
+REPORT_PINS = {
+    (0, 1, 1, 0): (
+        [
+            "marked rows: 0 interval-flavored, 2 round-flavored",
+            "window-rigid squares over the full universe: 2 checked",
+            "initiality: 2 interval tuples and 3 round tuples, over their whole weak fibers",
+            "flavor agreement checked on all 0 interval rows",
+            "exhaustive tier at weight <= 3: 0 interval rows, 2 round rows",
+            "interval composable pairs swept exhaustively: 0",
+            "round composable pairs swept exhaustively: 2",
+            "exhaustive tier factorization instances: 6",
+            "flavor agreement checked on 0 interval squares",
+            f"factorization instances against full weak fibers: 26, {FACTORIZATION_NOTE}",
+            "seeded full-universe composite sample: 37 pairs",
+        ],
+        "7a32287b2461aff195d8d359678ab603fe1f6b4a7de7e9b31c754670e451374f",
+    ),
+    (1, 1, 1, 0): (
+        [
+            "marked rows: 4 interval-flavored, 4 round-flavored",
+            "window-rigid squares over the full universe: 17 checked",
+            "initiality: 2 interval tuples and 4 round tuples, over their whole weak fibers",
+            "flavor agreement checked on all 4 interval rows",
+            "exhaustive tier at weight <= 3: 4 interval rows, 4 round rows",
+            "interval composable pairs swept exhaustively: 56",
+            "round composable pairs swept exhaustively: 99",
+            "exhaustive tier factorization instances: 40",
+            "flavor agreement checked on 15 interval squares",
+            f"factorization instances against full weak fibers: 38, {FACTORIZATION_NOTE}",
+            "seeded full-universe composite sample: 318 pairs",
+        ],
+        "058e49e4ce30a4cff8e85a881c210540b8372675a59ab2801cbb7113fb7129b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(REPORT_PINS))
+def test_localization_report_is_pinned(bounds):
+    notes, digest = REPORT_PINS[bounds]
+    rep = verify_localization(LocalizeBudget(*bounds))
+    assert rep.scope == notes
+    assert _finding_digest(rep) == digest
+
+
+def _compositions(total, parts):
+    # the recursive reference: run lengths, head first, in ascending order
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def test_run_splits_follow_the_composition_order():
+    # the sampled tier keeps the first squares of each hom set, so the
+    # order of the splits is part of what it checks
+    for length in range(6):
+        seq = tuple(f"s{k}" for k in range(length))
+        for n_parts in range(4):
+            parts = tuple(f"p{u}" for u in range(n_parts))
+            want = []
+            for comp in _compositions(length, n_parts):
+                cuts = [0]
+                for ln in comp:
+                    cuts.append(cuts[-1] + ln)
+                want.append({u: seq[a:b] for u, a, b in zip(parts, cuts, cuts[1:])})
+            got = list(_run_splits(seq, parts))
+            assert got == want, (length, n_parts)
+            assert [list(split) for split in got] == [list(parts)] * len(want)
+
+
+@pytest.mark.parametrize(
+    "bud, deep, message",
+    [
+        ((1, 1, 1, 0), True, "bud (1, 1, 1, 0) is not a LocalizeBudget"),
+        (None, True, "bud None is not a LocalizeBudget"),
+        (LocalizeBudget(0, 1, 1, 0), "no", "deep 'no' is not a bool"),
+        (LocalizeBudget(0, 1, 1, 0), 1, "deep 1 is not a bool"),
+    ],
+)
+def test_malformed_sweep_arguments_raise(bud, deep, message):
+    with pytest.raises(ValueError) as err:
+        verify_localization(bud, deep)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
