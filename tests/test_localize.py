@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from segalspans import localize
 from segalspans.cycy import (
     AssMor,
     CycToFamilyMor,
@@ -34,13 +35,17 @@ from segalspans.localize import (
     is_in_E,
     localize_morphism,
     localize_object,
+    _buckets,
+    _check_one_factorization,
+    _is_fiber_identity,
     _run_splits,
     universal_factorization,
     verify_localization,
     weak_fiber_initial,
 )
 from segalspans.orders import CycOrd, LinMap, standard_order
-from segalspans.spanalg import DeltaStarMor, DeltaStarObj, identity_star
+from segalspans.report import Report
+from segalspans.spanalg import DeltaStarMor, DeltaStarObj, all_delta_star_mors, identity_star
 
 AMB1 = standard_order(1)
 AMB2 = standard_order(2)
@@ -292,6 +297,119 @@ def test_localization_report_is_pinned(bounds):
     rep = verify_localization(LocalizeBudget(*bounds))
     assert rep.scope == notes
     assert _finding_digest(rep) == digest
+
+
+@pytest.mark.slow
+def test_two_rank_budget_report_is_pinned():
+    rep = verify_localization(LocalizeBudget(2, 1, 1, 0))
+    assert rep.scope == [
+        "marked rows: 19 interval-flavored, 6 round-flavored",
+        "window-rigid squares over the full universe: 194 checked",
+        "initiality: 2 interval tuples and 5 round tuples, over their whole weak fibers",
+        "flavor agreement checked on all 19 interval rows",
+        "exhaustive tier at weight <= 3: 19 interval rows, 6 round rows",
+        "interval composable pairs swept exhaustively: 19833",
+        "round composable pairs swept exhaustively: 12891",
+        "exhaustive tier factorization instances: 227",
+        "flavor agreement checked on 645 interval squares",
+        f"factorization instances against full weak fibers: 98, {FACTORIZATION_NOTE}",
+        "seeded full-universe composite sample: 3833 pairs",
+    ]
+    assert Counter(f.check for f in rep.findings) == {
+        "factorization-universality": 741,
+        "weak-fiber-initial-back": 2,
+    }
+    assert _finding_digest(rep) == (
+        "66485e73f486465e2fcfe51c48d1c0bb50677d4789703e2c747ed4318ad4e066"
+    )
+
+
+def _reference_one_factorization(rep, z, m, g, x, phi, pool, buckets):
+    # the full-hom route filter: compose phi with every square out of the
+    # built row x, then keep the routes over the identity of m
+    for w in pool if x in buckets else [x] + pool:
+        if w in buckets:
+            wanted = buckets[w].get(g, [])
+        else:
+            wanted = [nu for nu in all_omega_mors(z, w) if localize_morphism(nu) == g]
+        if not wanted:
+            continue
+        wset = set(wanted)
+        routes = {}
+        for tau in all_omega_mors(x, w):
+            c = tau.compose(phi)
+            if c in wset:
+                routes.setdefault(c, []).append(tau)
+        for nu in wanted:
+            good = [
+                t for t in routes.get(nu, []) if _is_fiber_identity(localize_morphism(t), m)
+            ]
+            if len(good) != 1:
+                rep.fail(
+                    "factorization-universality",
+                    (str(z), str(m), str(w)),
+                    witness=(str(g), str(nu), len(good)),
+                )
+
+
+def _reference_universality(rep, sources, fibers, hom, loc):
+    count = 0
+    for z, m in sources:
+        mors = all_delta_star_mors if isinstance(m, DeltaStarObj) else all_lambda_star_mors
+        pool = fibers.get(m, [])
+        buckets = {w: _buckets(hom(z, w), loc) for w in pool}
+        for g in mors(localize_object(z), m):
+            count += 1
+            x, phi = universal_factorization(z, g)
+            _reference_one_factorization(rep, z, m, g, x, phi, pool, buckets)
+    return count
+
+
+@pytest.mark.parametrize("bounds", [(0, 1, 1, 0), (1, 1, 1, 0)])
+def test_factorization_judge_matches_full_hom_reference(bounds, monkeypatch):
+    # every factorization instance the sweep judges, both tiers and both
+    # flavors, judged again by composing phi with every square out of x
+    calls = []
+    judge = localize._check_universality
+
+    def recording(rep, sources, fibers, hom, loc):
+        sources = list(sources)
+        calls.append((sources, fibers, hom, loc))
+        return judge(rep, sources, fibers, hom, loc)
+
+    monkeypatch.setattr(localize, "_check_universality", recording)
+    verify_localization(LocalizeBudget(*bounds))
+    assert len(calls) == 4
+    instances = 0
+    for sources, fibers, hom, loc in calls:
+        got, want = Report("identity factors"), Report("full hom")
+        n = judge(got, sources, fibers, hom, loc)
+        assert _reference_universality(want, sources, fibers, hom, loc) == n
+        assert got.findings == want.findings
+        instances += n
+    assert instances == {(0, 1, 1, 0): 32, (1, 1, 1, 0): 78}[bounds]
+
+
+def test_factorization_judge_flags_a_missing_route():
+    m = CyclicRank(1)
+    z = weak_fiber_initial(m)
+    g, other = list(all_lambda_star_mors(m, m))[:2]
+    x, phi = universal_factorization(z, g)
+    _, wrong_phi = universal_factorization(z, other)
+    wanted = [(x, [nu for nu in all_omega_mors(z, x) if localize_morphism(nu) == g])]
+    factors = [t for t in all_omega_mors(x, x) if _is_fiber_identity(localize_morphism(t), m)]
+    assert len(wanted[0][1]) == len(factors) == 1
+
+    rep = Report("sound")
+    _check_one_factorization(rep, z, m, g, phi, wanted, lambda w: factors)
+    assert rep.ok
+
+    for phi_, factors_ in ((wrong_phi, factors), (phi, [])):
+        rep = Report("corrupted")
+        _check_one_factorization(rep, z, m, g, phi_, wanted, lambda w: factors_)
+        assert [(f.check, f.witness[2]) for f in rep.findings] == [
+            ("factorization-universality", 0)
+        ]
 
 
 def _compositions(total, parts):
