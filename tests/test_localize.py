@@ -3,6 +3,7 @@ weak-fiber initial rows, universal factorizations, the hom enumerators
 and the state of the brute-force verification sweep."""
 
 import hashlib
+import math
 from collections import Counter
 
 import pytest
@@ -26,7 +27,6 @@ from segalspans.localize import (
     OmegaMorLambda,
     OmegaObjDelta,
     OmegaObjLambda,
-    all_e_mors,
     all_omega_delta_objects,
     all_omega_lambda_objects,
     all_omega_mors,
@@ -35,8 +35,11 @@ from segalspans.localize import (
     is_in_E,
     localize_morphism,
     localize_object,
+    _FLAVORS,
     _buckets,
+    _check_e_overlay,
     _check_one_factorization,
+    _cyclic_splits,
     _is_fiber_identity,
     _run_splits,
     universal_factorization,
@@ -192,7 +195,7 @@ def test_family_factorization_with_leftovers():
     assert localize_object(x) == m
 
 
-def test_enumerators_are_pinned_and_E_agrees_with_filtering():
+def test_enumerators_are_pinned():
     bud = LocalizeBudget(2, 2, 2, 1)
     pinned = (
         (all_omega_delta_objects, 55, 6510, 1481),
@@ -204,11 +207,43 @@ def test_enumerators_are_pinned_and_E_agrees_with_filtering():
         for z1 in rows:
             for z2 in rows:
                 mors = list(all_omega_mors(z1, z2))
-                filtered = {mu for mu in mors if is_in_E(mu)}
-                assert set(all_e_mors(z1, z2)) == filtered, (z1, z2)
                 squares += len(mors)
-                rigid += len(filtered)
+                rigid += sum(map(is_in_E, mors))
         assert (len(rows), squares, rigid) == (n_rows, n_squares, n_rigid)
+
+
+def test_corrupted_E_is_flagged_by_the_image_check(monkeypatch):
+    # with every square admitted to E, exactly the squares the real
+    # is_in_E rejects must fail to collapse to identity-shaped data
+    bud = LocalizeBudget(1, 1, 1, 0)
+    rows = [list(fl.rows(bud)) for fl in _FLAVORS]
+    rejected = sum(
+        not is_in_E(mu)
+        for objs in rows
+        for z1 in objs
+        for z2 in objs
+        for mu in all_omega_mors(z1, z2)
+    )
+    monkeypatch.setattr(localize, "is_in_E", lambda mu: True)
+    rep = Report("corrupted E")
+    checked = sum(_check_e_overlay(rep, objs, fl.tag) for fl, objs in zip(_FLAVORS, rows))
+    assert (checked, rejected) == (32, 15)
+    assert [f.check for f in rep.findings] == ["E-image-identity-like"] * rejected
+
+
+def test_round_flavor_cap_is_a_scope_note():
+    # the round rows and tuples draw their marked labels from (a, b), so
+    # max_tuple 3 grows only the interval flavor; the report says so
+    rows = {t: len(list(all_omega_lambda_objects(LocalizeBudget(1, t, 1, 0)))) for t in (2, 3)}
+    assert rows == {2: 13, 3: 13}
+    capped = [s for s in verify_localization(LocalizeBudget(1, 3, 1, 0), False).scope if "capped" in s]
+    assert capped == [
+        "round flavor capped at the two marked labels a and b: max_tuple 3 "
+        "widens only the interval flavor"
+    ]
+    for t in (1, 2):
+        rep = verify_localization(LocalizeBudget(1, t, 1, 0), False)
+        assert not any("capped" in s for s in rep.scope)
 
 
 @pytest.mark.parametrize(
@@ -439,6 +474,17 @@ def test_run_splits_follow_the_composition_order():
             got = list(_run_splits(seq, parts))
             assert got == want, (length, n_parts)
             assert [list(split) for split in got] == [list(parts)] * len(want)
+
+
+def test_cyclic_splits_never_repeat():
+    # the runs concatenate to their rotation, so no split can repeat
+    for length in range(1, 6):
+        useq = tuple(f"s{k}" for k in range(length))
+        for n_parts in range(1, 4):
+            parts = tuple(f"p{u}" for u in range(n_parts))
+            keys = [tuple(split.items()) for split in _cyclic_splits(useq, parts)]
+            assert len(set(keys)) == len(keys)
+            assert len(keys) == length * math.comb(length + n_parts - 1, n_parts - 1)
 
 
 @pytest.mark.parametrize(
