@@ -35,7 +35,7 @@ from .finset import (
     terminal_map,
     terminal_set,
 )
-from .labels import BASE, label_key
+from .labels import BASE, label_key, trusted
 from .orders import (
     CycMap,
     CycOrd,
@@ -114,14 +114,19 @@ class AssMor:
         raise ValueError(f"{x!r} is not in the source")
 
     def compose(self, other):
-        """self after other; ordered fibers concatenate."""
+        """self after other; ordered fibers concatenate.
+
+        The fibers of two valid maps concatenate to a valid map, already
+        in the canonical order of ``self.fibers``, so the constructor's
+        re-validation is skipped.
+        """
         if other.dst != self.src:
             raise ValueError("middle objects disagree")
         fibers = tuple(
             (t, tuple(itertools.chain.from_iterable(other.fiber(m) for m in f)))
             for t, f in self.fibers
         )
-        return AssMor(other.src, self.dst, fibers)
+        return trusted(AssMor, src=other.src, dst=self.dst, fibers=fibers)
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,11 @@ def ass_compose(g, f):
 
 
 def all_ass_mors(src, dst):
-    """Every ordered-fiber map src -> dst between pointed sets."""
+    """Every ordered-fiber map src -> dst between pointed sets.
+
+    Each map is built trusted: its fibers are disjoint orderings of
+    source points, keyed by the target points in their canonical order.
+    """
     pts = src.points
     targets = (None,) + dst.points
     for values in itertools.product(targets, repeat=len(pts)):
@@ -209,8 +218,8 @@ def all_ass_mors(src, dst):
             itertools.permutations(groups[t]) for t in dst.points
         ]
         for orders in itertools.product(*pools):
-            yield AssMor(
-                src, dst, tuple(zip(dst.points, map(tuple, orders)))
+            yield trusted(
+                AssMor, src=src, dst=dst, fibers=tuple(zip(dst.points, map(tuple, orders)))
             )
 
 

@@ -2,6 +2,8 @@
 weak-fiber initial rows, universal factorizations, the hom enumerators
 and the state of the brute-force verification sweep."""
 
+import dataclasses
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -21,6 +23,7 @@ from segalspans.cycy import (
     lambda_star_identity,
 )
 from segalspans.dualities import IntervalContext, PointedSet
+from segalspans.labels import trusted
 from segalspans.localize import (
     LocalizeBudget,
     OmegaMorDelta,
@@ -501,3 +504,137 @@ def test_malformed_sweep_arguments_raise(bud, deep, message):
         verify_localization(bud, deep)
     assert type(err.value) is ValueError
     assert str(err.value) == message
+
+
+# --------------------------------------------------------------------------
+# trusted squares and the per-row collapse
+
+
+@functools.cache
+def _recorded_sweep(bounds):
+    """Run the sweep at ``bounds`` and record the distinct squares its hom
+    enumerator yields, the distinct AssMor composites, and the rows that
+    universal_factorization builds."""
+    squares, composites, built = set(), set(), []
+    hom = localize.all_omega_mors
+    compose = AssMor.compose
+    factor = localize.universal_factorization
+
+    def recording_hom(z1, z2):
+        for mu in hom(z1, z2):
+            squares.add(mu)
+            yield mu
+
+    def recording_compose(self, other):
+        comp = compose(self, other)
+        composites.add(comp)
+        return comp
+
+    def recording_factor(z, g):
+        x, phi = factor(z, g)
+        built.append(x)
+        return x, phi
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localize, "all_omega_mors", recording_hom)
+        mp.setattr(AssMor, "compose", recording_compose)
+        mp.setattr(localize, "universal_factorization", recording_factor)
+        verify_localization(LocalizeBudget(*bounds))
+    return squares, composites, built
+
+
+def _validated_lin(f):
+    return LinMap(f.src, f.dst, f.images)
+
+
+def _validated_ass(f):
+    return AssMor(f.src, f.dst, f.fibers)
+
+
+def _validated_square(mu):
+    """mu rebuilt through the validating constructors, parts and all."""
+    if isinstance(mu, OmegaMorDelta):
+        return OmegaMorDelta(mu.src, mu.dst, _validated_lin(mu.g), _validated_lin(mu.gbar))
+    g = _validated_ass(mu.g) if isinstance(mu.g, AssMor) else mu.g
+    return OmegaMorLambda(mu.src, mu.dst, g, _validated_ass(mu.gbar))
+
+
+@pytest.mark.parametrize(
+    "bounds, n_squares, n_composites",
+    [
+        ((1, 1, 1, 0), 681, 170),
+        ((1, 1, 1, 1), 996, 331),
+        ((1, 1, 2, 0), 6633, 427),
+        pytest.param((2, 1, 1, 0), 4643, 563, marks=pytest.mark.slow),
+    ],
+)
+def test_trusted_squares_match_the_validating_constructors(bounds, n_squares, n_composites):
+    # the hom enumerators and AssMor.compose skip validation; every value
+    # the sweep sees, rebuilt through the validating constructors, must
+    # come out equal with the same hash
+    squares, composites, _ = _recorded_sweep(bounds)
+    assert (len(squares), len(composites)) == (n_squares, n_composites)
+    for mu in squares:
+        rebuilt = _validated_square(mu)
+        assert rebuilt == mu and hash(rebuilt) == hash(mu), mu
+    for comp in composites:
+        rebuilt = _validated_ass(comp)
+        assert rebuilt == comp and hash(rebuilt) == hash(comp), comp
+
+
+def test_rebuild_rejects_swapped_gbar_images():
+    squares, _, _ = _recorded_sweep((1, 1, 1, 0))
+    ordered = sorted(squares, key=str)
+    # a monotone map with two distinct images is no longer monotone once
+    # its first and last images trade places
+    delta = next(
+        mu for mu in ordered if isinstance(mu, OmegaMorDelta) and len(set(mu.gbar.images)) > 1
+    )
+    gbar = delta.gbar
+    images = gbar.images[-1:] + gbar.images[1:-1] + gbar.images[:1]
+    gbar = trusted(LinMap, src=gbar.src, dst=gbar.dst, images=images)
+    with pytest.raises(ValueError):
+        _validated_square(
+            trusted(OmegaMorDelta, src=delta.src, dst=delta.dst, g=delta.g, gbar=gbar)
+        )
+
+    # over the round flavor, two source points trade the fibers they lie in
+    pointed = next(
+        mu
+        for mu in ordered
+        if isinstance(mu, OmegaMorLambda) and sum(1 for _, f in mu.gbar.fibers if f) > 1
+    )
+    fibers = list(pointed.gbar.fibers)
+    (a, fa), (b, fb) = [(k, tf) for k, tf in enumerate(fibers) if tf[1]][:2]
+    fibers[a] = (fa[0], (fb[1][0],) + fa[1][1:])
+    fibers[b] = (fb[0], (fa[1][0],) + fb[1][1:])
+    gbar = trusted(AssMor, src=pointed.gbar.src, dst=pointed.gbar.dst, fibers=tuple(fibers))
+    with pytest.raises(ValueError):
+        _validated_square(
+            trusted(OmegaMorLambda, src=pointed.src, dst=pointed.dst, g=pointed.g, gbar=gbar)
+        )
+
+
+def test_each_row_collapses_once_without_touching_equality():
+    # the collapse is kept in _loc outside the dataclass fields: a row
+    # compares and hashes as before, and its cached tuple equals a cold
+    # collapse of a freshly built equal row
+    for cls in (OmegaObjDelta, OmegaObjLambda):
+        assert "_loc" not in {f.name for f in dataclasses.fields(cls)}
+    bounds = (1, 1, 2, 0)
+    _, _, built = _recorded_sweep(bounds)
+    rows = [z for fl in _FLAVORS for z in fl.rows(LocalizeBudget(*bounds))]
+    assert (len(rows), len(built)) == (14, 203)
+    for z in rows:
+        assert "_loc" not in vars(z)
+        before = hash(z)
+        m = localize_object(z)
+        assert vars(z)["_loc"] is m and localize_object(z) is m
+        fresh = dataclasses.replace(z)
+        assert hash(z) == before == hash(fresh) and z == fresh
+        assert "_loc" not in vars(fresh)
+        assert localize_object(fresh) == m
+    for x in built:
+        fresh = dataclasses.replace(x)
+        assert x == fresh and hash(x) == hash(fresh)
+        assert localize_object(x) is vars(x)["_loc"] == localize_object(fresh)
