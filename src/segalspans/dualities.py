@@ -10,7 +10,8 @@ and the two constructions are inverse on positions.
 Closing a linear order into a cycle commutes with these dualities up to
 a canonical witness; that witness is what transports the gap duality to
 cyclic orders, where the formula for maps is otherwise underdetermined.
-``D_on_map`` computes that transported dual directly on positions.  The
+``D_on_map`` computes that transported dual directly on positions, and
+validates the map that its core ``dual_fibers`` reads off.  The
 closure witnesses (``O_on_map``, ``interval_closure_map``,
 ``closure_square_witness``) are the reference construction in
 ``tests/reference_orders.py`` that the tests compare it against.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labels import BASE, BOTTOM, label_key
+from .labels import BASE, BOTTOM, label_key, trusted
 from .orders import CycMap, CycOrd, LinMap, LinOrd
 
 
@@ -61,15 +62,6 @@ def sk_segment_dual(images, i, j, k, l):
 
 
 # --------------------------------------------------------------------------
-# gap orders
-
-
-def inner_interstices(order):
-    """The linear order of gaps between adjacent elements."""
-    return LinOrd(order.elements[:-1])
-
-
-# --------------------------------------------------------------------------
 # closures into cyclic orders
 
 
@@ -92,25 +84,25 @@ def cyclic_closure_map(f):
 # the cyclic gap duality
 
 
-def D_on_map(f, start=None):
-    """Contravariant dual of a cyclic map on cyclic gap orders.
+def dual_fibers(f, start):
+    """The fibers of the cyclic dual of f, linearizing its target at ``start``.
 
-    Linearize the target at ``start`` (default: canonical start) as
-    t_0 < ... < t_m and read the source fibers along it as
-    s_0 < ... < s_n, with the positions of their images.  Take the outer
-    gap dual ``sk_outer_dual`` of those positions, [m+1] -> [n+1], and
-    bucket the gaps j <= m by their value, keeping j ascending; gap 0,
-    below the bottom, is relabelled to the top t_m, and gap j >= 1 to
-    t_{j-1}, the element it follows.  The fiber over s_k for k < n is
-    bucket k+1; the fiber over s_n is bucket n+1 followed by bucket 0,
-    since gluing the outer gaps wraps the top bucket onto the bottom.
-    This is the position form of dualizing the induced monotone map on
-    outer gaps, gluing endpoints and conjugating by the closure
-    witnesses.  The result is independent of ``start``.
+    Linearize the target at ``start`` as t_0 < ... < t_m and read the
+    source fibers along it as s_0 < ... < s_n, with the positions of
+    their images.  Take the outer gap dual ``sk_outer_dual`` of those
+    positions, [m+1] -> [n+1], and bucket the gaps j <= m by their
+    value, keeping j ascending; gap 0, below the bottom, is relabelled to
+    the top t_m, and gap j >= 1 to t_{j-1}, the element it follows.  The
+    fiber over s_k for k < n is bucket k+1; the fiber over s_n is bucket
+    n+1 followed by bucket 0, since gluing the outer gaps wraps the top
+    bucket onto the bottom.  This is the position form of dualizing the
+    induced monotone map on outer gaps, gluing endpoints and conjugating
+    by the closure witnesses.
+
+    Returns the (source element, fiber) pairs in the order s_0..s_n,
+    unvalidated; ``D_on_map`` builds them into a map.
     """
     dst = f.dst
-    if start is None:
-        start = dst.cycle[0]
     i = dst.cycle.index(start)
     t = dst.cycle[i:] + dst.cycle[:i]
     if BOTTOM in f.src.carrier or BOTTOM in dst.carrier:
@@ -127,7 +119,19 @@ def D_on_map(f, start=None):
         buckets[dual[j]].append(gap)
     fibers = [(seq[k], tuple(buckets[k + 1])) for k in range(n)]
     fibers.append((seq[n], tuple(buckets[n + 1] + buckets[0])))
-    return CycMap(dst, f.src, tuple(fibers))
+    return tuple(fibers)
+
+
+def D_on_map(f, start=None):
+    """Contravariant dual of a cyclic map on cyclic gap orders.
+
+    The validated map on the fibers ``dual_fibers`` computes with the
+    target linearized at ``start`` (default: canonical start).  The
+    result is independent of ``start``.
+    """
+    if start is None:
+        start = f.dst.cycle[0]
+    return CycMap(f.dst, f.src, dual_fibers(f, start))
 
 
 # --------------------------------------------------------------------------
@@ -183,10 +187,6 @@ class IntervalContext:
         if self.ambient.position(self.lo) > self.ambient.position(self.hi):
             raise ValueError("marked interval needs lo <= hi")
 
-    @property
-    def sub_order(self):
-        return self.ambient.between(self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class IntervalContextMap:
@@ -214,14 +214,20 @@ class IntervalContextMap:
 def res(m):
     """Dual of a context morphism on the inner gaps of the marked intervals.
 
-    Degenerate marked intervals have no inner gaps, so the result may go
-    into or out of the empty order.
+    A gap is named by the element below it, so the inner gaps of a
+    marked interval [lo, hi] are the slice of its ambient order from lo
+    up to, not including, hi.  Degenerate marked intervals have no inner
+    gaps, so the result may go into or out of the empty order.
+
+    The two gap orders and the map are built with ``trusted``: slices
+    of a valid order are valid, and ``sk_segment_dual`` never decreases,
+    so the map is monotone.  The spanning condition it rests on is what
+    ``IntervalContextMap`` validates.
     """
     samb, tamb = m.src.ambient, m.dst.ambient
     i, j = samb.position(m.src.lo), samb.position(m.src.hi)
     k, l = tamb.position(m.dst.lo), tamb.position(m.dst.hi)
     dual = sk_segment_dual(m.map.positions, i, j, k, l)
-    gt = inner_interstices(m.dst.sub_order)
-    gs = inner_interstices(m.src.sub_order)
-    return LinMap(gt, gs, tuple(gs.elements[v] for v in dual))
-
+    gt = trusted(LinOrd, elements=tamb.elements[k:l])
+    gs = trusted(LinOrd, elements=samb.elements[i:j])
+    return trusted(LinMap, src=gt, dst=gs, images=tuple(gs.elements[v] for v in dual))

@@ -24,6 +24,16 @@ squares validate; the hom enumerators and the composites build their
 squares with ``labels.trusted``, since each is valid by construction (a
 reference test rebuilds them all through the validating constructors),
 and each row keeps its collapsed tuple once computed.
+
+The collapse validates what it checks or returns and builds the rest by
+construction.  It validates the spanning condition of an interval
+square, the cyclic fiber map of a round square, the embedding of the
+glued block cycle, one cyclic dual per linearization check, and every
+tuple morphism it returns.  The gap orders of ``res`` are slices of
+valid orders, and the standard cycles are canonical by definition, so
+both are built trusted; the cyclic duals are read onto the standard
+cycles by position, with no position isos built.  A reference test
+collapses every square of the sweep again from validated maps.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from dataclasses import dataclass, fields
 
 from .labels import BASE, label_key, trusted
 from .orders import CycMap, CycOrd, LinMap, identity_lin, rotation_map, standard_cycle, standard_order
-from .dualities import D_on_map, IntervalContext, IntervalContextMap, PointedSet, cut, res
+from .dualities import D_on_map, IntervalContext, IntervalContextMap, PointedSet, cut, dual_fibers, res
 from .cycy import (
     AssMor,
     CycRankMor,
@@ -331,29 +341,42 @@ def _localize_family(mu):
     return FamilyMor(src_t, localize_object(mu.dst), tuple(blocks), tuple(orders))
 
 
-def _positional_iso(cyc):
-    """The position-reading cyclic iso onto the standard cycle."""
-    n = len(cyc.cycle) - 1
+def _by_position(f, src, dst):
+    """f carried onto the cycles src and dst, each element of f's source
+    and target renamed to the one at its position in src and dst.
+
+    One validated CycMap; it equals f conjugated by the two position
+    isos, which are never built.
+    """
+    rename = dict(zip(f.src.cycle, src.cycle))
+    fib = dict(f.fibers)
     return CycMap(
-        cyc, standard_cycle(n), tuple((k, (x,)) for k, x in enumerate(cyc.cycle))
+        src,
+        dst,
+        tuple((d, tuple(rename[x] for x in fib[y])) for y, d in zip(f.dst.cycle, dst.cycle)),
     )
 
 
 def _dual_all_starts(w, location):
-    """The cyclic dual of w, computed at every linearization start.
+    """The cyclic dual of w, checked at every linearization start.
 
-    The construction claims independence of the start; a disagreement is
+    The construction claims independence of the start.  The dual is
+    validated once, by ``D_on_map`` at the canonical start; at every
+    other start the raw ``dual_fibers`` must name the same fibers, and
+    equal fibers make an equal, equally valid map, so they are compared
+    without building one.  A disagreement builds the other dual and is
     raised, naming the location and both duals, rather than silently
     resolved.
     """
-    duals = [D_on_map(w, start=h) for h in w.dst.cycle]
-    for other in duals[1:]:
-        if other != duals[0]:
+    first = D_on_map(w)
+    want = dict(first.fibers)
+    for h in w.dst.cycle[1:]:
+        if dict(dual_fibers(w, h)) != want:
             raise ValueError(
                 f"cyclic linearization choices disagree at {location}: "
-                f"{duals[0]!r} vs {other!r}"
+                f"{first!r} vs {D_on_map(w, start=h)!r}"
             )
-    return duals[0]
+    return first
 
 
 def _round_fiber_map(mu):
@@ -363,11 +386,12 @@ def _round_fiber_map(mu):
 
 
 def _localize_round_round(mu):
-    w = _round_fiber_map(mu)
-    op = _positional_iso(w.src).compose(
-        _dual_all_starts(w, "round-round").compose(_positional_iso(w.dst).inverse())
-    )
-    return CycRankMor(localize_object(mu.src), localize_object(mu.dst), op)
+    src_t = localize_object(mu.src)
+    dst_t = localize_object(mu.dst)
+    # the dual, read on positions, runs between the standard cycles
+    dual = _dual_all_starts(_round_fiber_map(mu), "round-round")
+    op = _by_position(dual, standard_cycle(dst_t.rank), standard_cycle(src_t.rank))
+    return CycRankMor(src_t, dst_t, op)
 
 
 def _localize_round_family(mu):
@@ -384,8 +408,8 @@ def _localize_round_family(mu):
     w = CycMap(u1, chain_cyc, tuple((u, mu.gbar.fiber(u)) for u in chain))
     union = family_union_cycle(dst_t, marked_cycle)
     embed = _collapse_embedding(union, f2, window, marked_cycle, chain, chain_cyc)
-    op = _positional_iso(u1).compose(
-        _dual_all_starts(w, "round-family").compose(embed)
+    op = _by_position(
+        _dual_all_starts(w, "round-family").compose(embed), union, standard_cycle(src_t.rank)
     )
     return CycToFamilyMor(src_t, dst_t, marked_cycle, op)
 
@@ -441,7 +465,12 @@ def _collapse_embedding(union, f2, window, marked_cycle, chain, chain_cyc):
 
 
 def localize_morphism(mu):
-    """The collapse of a marked-row square to a tuple morphism."""
+    """The collapse of a marked-row square to a tuple morphism.
+
+    The returned tuple morphism goes through its validating constructor;
+    the intermediates it is read from are validated as the module
+    docstring lists.
+    """
     if isinstance(mu, OmegaMorDelta):
         return _localize_delta(mu)
     if mu.src.is_round and mu.dst.is_round:
@@ -753,8 +782,7 @@ def _factor_round(z, g):
         raise ValueError("g must leave the collapse of z")
     u = z.base.cycle
     n = g.dst.rank
-    iso = _positional_iso(u)
-    d = iso.inverse().compose(g.op)
+    d = _by_position(g.op, g.op.src, u)
     # invert the duality through its double-dual rotation witnesses
     w = rotation_map(standard_cycle(n), 1).compose(
         _dual_all_starts(d, "factor-round").compose(rotation_map(u, -1))
@@ -777,7 +805,7 @@ def _factor_round_family(z, g):
     if len(m) == 0:
         raise ValueError("g is not covering-compatible: empty family target")
     u = z.base.cycle
-    d = _positional_iso(u).inverse().compose(g.op)
+    d = _by_position(g.op, g.op.src, u)
     # the dual's fiber at a block cut is the source arc following that
     # cut, shifted one step forward; interior cuts feed fresh fiber
     # elements, top cuts feed the leftover points appended after their
@@ -1201,7 +1229,12 @@ def verify_localization(bud, deep=True):
     Only the public constructors validate.  The squares of the hom sets
     and their composites are built trusted, and each row's collapse is
     computed once and kept on the row, so the sweep's time goes to the
-    claims rather than to re-validating what the enumerators built.
+    claims rather than to re-validating what the enumerators built.  The
+    collapse of a square validates once each value it compares (the
+    spanning condition, the cyclic fiber map, one dual per linearization
+    check, the tuple morphism it returns) and builds gap orders, standard
+    cycles and position relabellings by construction; each identity
+    tuple morphism a check compares against is built once per tuple.
     """
     if not isinstance(bud, LocalizeBudget):
         raise ValueError(f"bud {bud!r} is not a LocalizeBudget")
@@ -1221,7 +1254,7 @@ def verify_localization(bud, deep=True):
     # identities collapse to identities and sit in the rigid class
     for z in itertools.chain.from_iterable(rows):
         ident = identity_omega(z)
-        if not _is_fiber_identity(localize_morphism(ident), localize_object(z)):
+        if localize_morphism(ident) != _tuple_identity(localize_object(z)):
             rep.fail("identity-collapse", ("object", str(z)), witness=str(z))
         if not is_in_E(ident):
             rep.fail("identity-in-E", ("object", str(z)), witness=str(z))
@@ -1365,20 +1398,20 @@ def _tuple_compose(after, before):
     return lambda_star_compose(after, before)
 
 
-def _is_fiber_identity(lmu, m):
-    want = identity_star(m) if isinstance(m, DeltaStarObj) else lambda_star_identity(m)
-    return lmu == want
+def _tuple_identity(m):
+    return identity_star(m) if isinstance(m, DeltaStarObj) else lambda_star_identity(m)
 
 
 def _check_initiality(rep, m, fiber):
     z0 = weak_fiber_initial(m)
+    ident = _tuple_identity(m)
     out_detail = "expected exactly one window-rigid square over the identity"
     for w in [z0] + [w for w in fiber if w != z0]:
         for check, ends, detail in (
             ("weak-fiber-initial-out", (z0, w), out_detail),
             ("weak-fiber-initial-back", (w, z0), ""),
         ):
-            n = sum(1 for mu in all_e_mors(*ends) if _is_fiber_identity(localize_morphism(mu), m))
+            n = sum(1 for mu in all_e_mors(*ends) if localize_morphism(mu) == ident)
             if n != 1:
                 rep.fail(check, (str(m), str(w)), witness=n, detail=detail)
 
@@ -1421,13 +1454,13 @@ def _check_universality(rep, sources, fibers, hom, loc):
     held for one source only and stay out of the exhaustive tier's caches.
     Only the identity-collapsing squares x -> w are composed with each phi
     built on x, since a route must collapse to the identity; they are
-    listed once per (x, w, m).  No memo outlives the call.
+    listed once per (x, w, m), against an identity built once per m.  No
+    memo outlives the call.
     """
     count = 0
+    identity = functools.cache(_tuple_identity)
     identity_squares = functools.cache(
-        lambda x, m, w: [
-            t for t in all_omega_mors(x, w) if _is_fiber_identity(localize_morphism(t), m)
-        ]
+        lambda x, m, w: [t for t in all_omega_mors(x, w) if localize_morphism(t) == identity(m)]
     )
     for z, m in sources:
         # looked up per call, so that a wrapper installed on the module

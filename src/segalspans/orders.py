@@ -53,13 +53,6 @@ class LinOrd:
     def position(self, x):
         return self.elements.index(x)
 
-    def between(self, lo, hi):
-        """The closed sub-order from lo to hi."""
-        i, j = self.position(lo), self.position(hi)
-        if i > j:
-            raise ValueError("between() requires lo <= hi")
-        return LinOrd(self.elements[i : j + 1])
-
 
 def standard_order(n):
     """The skeletal order with elements 0..n; n = -1 gives the empty order."""
@@ -163,10 +156,15 @@ class CycOrd:
 
 
 def standard_cycle(n):
-    """The skeletal cyclic order on 0..n."""
+    """The skeletal cyclic order on 0..n.
+
+    Built with ``trusted``: 0..n are distinct int labels and 0 is the
+    least, so the cycle is already canonical.
+    """
     if n < 0:
         raise ValueError("cyclic rank must be >= 0")
-    return CycOrd(tuple(range(n + 1)))
+    cycle = tuple(range(n + 1))
+    return trusted(CycOrd, cycle=cycle, _carrier=frozenset(cycle))
 
 
 @dataclass(frozen=True)
@@ -231,13 +229,6 @@ class CycMap:
     def is_iso(self):
         return len(self.src) == len(self.dst) and all(
             len(f) == 1 for _, f in self.fibers
-        )
-
-    def inverse(self):
-        if not self.is_iso():
-            raise ValueError("map is not invertible")
-        return CycMap(
-            self.dst, self.src, tuple((f[0], (d,)) for d, f in self.fibers)
         )
 
 

@@ -6,10 +6,13 @@ and inner gap dualities on linear orders, and the closures into cycles
 with their comparison witness.  ``dualities.D_on_map`` computes the
 cyclic gap dual directly on positions; the tests check it against the
 construction here, which dualizes on outer gaps, glues endpoints and
-conjugates by ``closure_square_witness``.  The order fixtures
-``all_lin_maps`` and ``tag_order`` live here too, with the endpoint and
-linearization helpers (``bottom``, ``top``, ``is_endpoint_preserving``,
-``linear_from``) that only these constructions read.
+conjugates by ``closure_square_witness``.  ``dualities.res`` builds
+its gap orders by construction; ``validated_res`` builds the same map
+from the marked sub-orders through the validating constructors.  The
+order fixtures ``all_lin_maps`` and ``tag_order`` live here too, with
+the endpoint, sub-order, inverse and linearization helpers (``bottom``,
+``top``, ``is_endpoint_preserving``, ``between``, ``cyc_inverse``,
+``linear_from``) that only these constructions and the tests read.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from segalspans.dualities import cyclic_closure, inner_interstices, sk_outer_dual
+from segalspans.dualities import cyclic_closure, sk_outer_dual, sk_segment_dual
 from segalspans.labels import BOTTOM, label_key
 from segalspans.orders import CycMap, CycOrd, LinMap, LinOrd
 
@@ -59,6 +62,21 @@ def is_endpoint_preserving(f):
         and f.images[0] == bottom(f.dst)
         and f.images[-1] == top(f.dst)
     )
+
+
+def between(order, lo, hi):
+    """The closed sub-order of a linear order from lo to hi."""
+    i, j = order.position(lo), order.position(hi)
+    if i > j:
+        raise ValueError("between() requires lo <= hi")
+    return LinOrd(order.elements[i : j + 1])
+
+
+def cyc_inverse(f):
+    """The inverse of a cyclic iso."""
+    if not f.is_iso():
+        raise ValueError("map is not invertible")
+    return CycMap(f.dst, f.src, tuple((fib[0], (d,)) for d, fib in f.fibers))
 
 
 def linear_from(cycle, x):
@@ -183,6 +201,11 @@ def sk_inner_dual(images, p, q):
     return tuple(out)
 
 
+def inner_interstices(order):
+    """The linear order of gaps between adjacent elements."""
+    return LinOrd(order.elements[:-1])
+
+
 def outer_interstices(order):
     """Inner gaps plus the unbounded gaps below and above."""
     if BOTTOM in order.elements:
@@ -258,3 +281,24 @@ def closure_square_witness(order):
     fibers = [(top(order), (BOTTOM,))]
     fibers += [(x, (x,)) for x in order.elements[:-1]]
     return CycMap(src_c, dst_c, tuple(fibers))
+
+
+# --------------------------------------------------------------------------
+# interval contexts
+
+
+def marked_order(ctx):
+    """The marked sub-order [lo, hi] of an interval context."""
+    return between(ctx.ambient, ctx.lo, ctx.hi)
+
+
+def validated_res(m):
+    """``dualities.res`` built through the validating constructors: the
+    inner gaps of both marked sub-orders and the LinMap between them."""
+    samb, tamb = m.src.ambient, m.dst.ambient
+    i, j = samb.position(m.src.lo), samb.position(m.src.hi)
+    k, l = tamb.position(m.dst.lo), tamb.position(m.dst.hi)
+    dual = sk_segment_dual(m.map.positions, i, j, k, l)
+    gt = inner_interstices(marked_order(m.dst))
+    gs = inner_interstices(marked_order(m.src))
+    return LinMap(gt, gs, tuple(gs.elements[v] for v in dual))

@@ -11,7 +11,6 @@ from segalspans.dualities import (
     cut,
     cyclic_closure,
     cyclic_closure_map,
-    inner_interstices,
     res,
     sk_outer_dual,
 )
@@ -32,12 +31,15 @@ from reference_orders import (
     O_on_map,
     all_lin_maps,
     closure_square_witness,
+    cyc_inverse,
     imbrication,
     imbrication_map,
+    inner_interstices,
     interval_closure,
     interval_closure_map,
     is_endpoint_preserving,
     linear_from,
+    marked_order,
     ordinal_sum,
     ordinal_sum_map,
     outer_interstices,
@@ -224,7 +226,7 @@ def test_cyclic_dual_of_rotation_is_inverse_rotation():
     for n in range(0, 4):
         c = standard_cycle(n)
         t = rotation_map(c, 1)
-        assert D_on_map(t) == t.inverse()
+        assert D_on_map(t) == cyc_inverse(t)
         assert D_on_map(identity_cyc_like(c)) == identity_cyc_like(c)
 
 
@@ -244,7 +246,7 @@ def _closure_witness_dual(f, start):
     f_lin = LinMap(ls, lt, tuple(t for t in lt.elements for _ in f.fiber(t)))
     return closure_square_witness(ls).compose(
         interval_closure_map(O_on_map(f_lin)).compose(
-            closure_square_witness(lt).inverse()
+            cyc_inverse(closure_square_witness(lt))
         )
     )
 
@@ -331,7 +333,7 @@ def test_pointed_set_basics():
 def test_res_identity():
     ctx = IntervalContext(standard_order(3), 1, 3)
     r = res(IntervalContextMap(ctx, ctx, identity_lin(ctx.ambient)))
-    assert r == identity_lin(inner_interstices(ctx.sub_order))
+    assert r == identity_lin(inner_interstices(marked_order(ctx)))
 
 
 def test_res_frozen_example():
@@ -339,7 +341,7 @@ def test_res_frozen_example():
     dst = IntervalContext(standard_order(2), 0, 2)
     m = IntervalContextMap(src, dst, LinMap(standard_order(1), standard_order(2), (0, 2)))
     r = res(m)
-    assert r.src == inner_interstices(dst.sub_order)
+    assert r.src == inner_interstices(marked_order(dst))
     assert len(r.src) == 2 and len(r.dst) == 1
     assert r.images == (0, 0)
 

@@ -10,9 +10,10 @@ from collections import Counter
 
 import pytest
 
-from segalspans import localize
+from segalspans import dualities, localize
 from segalspans.cycy import (
     AssMor,
+    CycRankMor,
     CycToFamilyMor,
     CyclicRank,
     DiamondMor,
@@ -20,9 +21,10 @@ from segalspans.cycy import (
     FamilyObj,
     ID_DIAMOND,
     all_lambda_star_mors,
+    family_union_cycle,
     lambda_star_identity,
 )
-from segalspans.dualities import IntervalContext, PointedSet
+from segalspans.dualities import D_on_map, IntervalContext, IntervalContextMap, PointedSet, res
 from segalspans.labels import trusted
 from segalspans.localize import (
     LocalizeBudget,
@@ -43,15 +45,17 @@ from segalspans.localize import (
     _check_e_overlay,
     _check_one_factorization,
     _cyclic_splits,
-    _is_fiber_identity,
     _run_splits,
+    _tuple_identity,
     universal_factorization,
     verify_localization,
     weak_fiber_initial,
 )
-from segalspans.orders import CycOrd, LinMap, standard_order
+from segalspans.orders import CycMap, CycOrd, LinMap, standard_cycle, standard_order
 from segalspans.report import Report
 from segalspans.spanalg import DeltaStarMor, DeltaStarObj, all_delta_star_mors, identity_star
+
+from reference_orders import cyc_inverse, validated_res
 
 AMB1 = standard_order(1)
 AMB2 = standard_order(2)
@@ -380,7 +384,7 @@ def _reference_one_factorization(rep, z, m, g, x, phi, pool, buckets):
                 routes.setdefault(c, []).append(tau)
         for nu in wanted:
             good = [
-                t for t in routes.get(nu, []) if _is_fiber_identity(localize_morphism(t), m)
+                t for t in routes.get(nu, []) if localize_morphism(t) == _tuple_identity(m)
             ]
             if len(good) != 1:
                 rep.fail(
@@ -435,7 +439,7 @@ def test_factorization_judge_flags_a_missing_route():
     x, phi = universal_factorization(z, g)
     _, wrong_phi = universal_factorization(z, other)
     wanted = [(x, [nu for nu in all_omega_mors(z, x) if localize_morphism(nu) == g])]
-    factors = [t for t in all_omega_mors(x, x) if _is_fiber_identity(localize_morphism(t), m)]
+    factors = [t for t in all_omega_mors(x, x) if localize_morphism(t) == _tuple_identity(m)]
     assert len(wanted[0][1]) == len(factors) == 1
 
     rep = Report("sound")
@@ -638,3 +642,164 @@ def test_each_row_collapses_once_without_touching_equality():
         fresh = dataclasses.replace(x)
         assert x == fresh and hash(x) == hash(fresh)
         assert localize_object(x) is vars(x)["_loc"] == localize_object(fresh)
+
+
+# --------------------------------------------------------------------------
+# the collapse on positions against its object-level reference
+
+
+def _positional_iso(cyc):
+    """The position-reading cyclic iso onto the standard cycle."""
+    return CycMap(
+        cyc, standard_cycle(len(cyc) - 1), tuple((k, (x,)) for k, x in enumerate(cyc.cycle))
+    )
+
+
+def _dual_at_every_start(w):
+    duals = {D_on_map(w, start=h) for h in w.dst.cycle}
+    assert len(duals) == 1, duals
+    return duals.pop()
+
+
+def _reference_collapse(mu):
+    """The collapse of an interval or round-sourced square, built from
+    validated maps: the gap dual ``validated_res`` of the interval
+    context map, or the cyclic dual, validated at every start, conjugated
+    by the position isos of its cycles."""
+    src_t, dst_t = localize_object(mu.src), localize_object(mu.dst)
+    if isinstance(mu, OmegaMorDelta):
+        ctx = IntervalContextMap(mu.src.interval, mu.dst.interval, mu.g)
+        i, ip = mu.src.lo_pos, mu.dst.lo_pos
+        fpos, f2pos, gbarpos = mu.src.base.positions, mu.dst.base.positions, mu.gbar.positions
+        blocks = []
+        for u, s in enumerate(validated_res(ctx).positions):
+            cells = range(f2pos[ip + u], f2pos[ip + u + 1] + 1)
+            blocks.append((s, tuple(gbarpos[y] - fpos[i + s] for y in cells)))
+        return DeltaStarMor(src_t, dst_t, tuple(blocks))
+    if mu.dst.is_round:
+        w = localize._round_fiber_map(mu)
+        op = _positional_iso(w.src).compose(
+            _dual_at_every_start(w).compose(cyc_inverse(_positional_iso(w.dst)))
+        )
+        return CycRankMor(src_t, dst_t, op)
+    u1, f2, window = mu.src.base.cycle, mu.dst.base, mu.g.cycle
+    marked_cycle = CycOrd(tuple(q for q in window.cycle if q in mu.dst.marked))
+    chain = [u for w_pt in window.cycle for u in f2.fiber(w_pt)]
+    chain_cyc = CycOrd(tuple(chain))
+    w = CycMap(u1, chain_cyc, tuple((u, mu.gbar.fiber(u)) for u in chain))
+    union = family_union_cycle(dst_t, marked_cycle)
+    embed = localize._collapse_embedding(union, f2, window, marked_cycle, chain, chain_cyc)
+    op = _positional_iso(u1).compose(_dual_at_every_start(w).compose(embed))
+    return CycToFamilyMor(src_t, dst_t, marked_cycle, op)
+
+
+def _square_kind(mu):
+    if isinstance(mu, OmegaMorDelta):
+        return "interval"
+    if not mu.src.is_round:
+        return "family"
+    return "round-round" if mu.dst.is_round else "round-family"
+
+
+@functools.cache
+def _collapsed_sweep(bounds):
+    """Run the sweep at ``bounds`` and record every distinct square it
+    collapses, with its collapse, and every distinct context map that the
+    interval collapse takes the gap dual of."""
+    collapsed, contexts = {}, set()
+    collapse, dual = localize.localize_morphism, localize.res
+
+    def recording_collapse(mu):
+        lmu = collapse(mu)
+        collapsed.setdefault(mu, []).append(lmu)
+        return lmu
+
+    def recording_dual(m):
+        contexts.add(m)
+        return dual(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localize, "localize_morphism", recording_collapse)
+        mp.setattr(localize, "res", recording_dual)
+        verify_localization(LocalizeBudget(*bounds))
+    return collapsed, contexts
+
+
+@pytest.mark.parametrize(
+    "bounds, kinds",
+    [
+        ((1, 1, 1, 0), {"interval": 338, "round-round": 53, "round-family": 66}),
+        ((1, 1, 1, 1), {"interval": 338, "round-round": 112, "round-family": 217}),
+        ((1, 1, 2, 0), {"interval": 3003, "round-round": 53, "round-family": 167}),
+    ],
+)
+def test_positional_collapse_matches_the_object_level_reference(bounds, kinds):
+    # the collapse reads its duals on positions and builds its gap orders
+    # by construction; every square the sweep collapses, collapsed again
+    # from validated maps, must come out equal with the same hash
+    collapsed, contexts = _collapsed_sweep(bounds)
+    seen = Counter()
+    for mu, results in collapsed.items():
+        kind = _square_kind(mu)
+        if kind == "family":
+            continue
+        seen[kind] += 1
+        want = _reference_collapse(mu)
+        for lmu in results:
+            assert lmu == want and hash(lmu) == hash(want), mu
+    assert dict(seen) == kinds
+    assert len(contexts) == 59
+    for m in contexts:
+        got, want = res(m), validated_res(m)
+        assert got == want and hash(got) == hash(want), m
+        assert (got.src, got.dst) == (want.src, want.dst)
+
+
+def test_standard_cycle_matches_the_validating_constructor():
+    for n in range(6):
+        got, want = standard_cycle(n), CycOrd(tuple(range(n + 1)))
+        assert got == want and hash(got) == hash(want)
+        assert got.carrier == want.carrier == frozenset(range(n + 1))
+        assert got._label_order() == want._label_order()
+
+
+def test_square_off_the_marked_window_still_raises():
+    # the spanning condition g(lo) <= lo' <= hi' <= g(hi) is what the
+    # trusted gap orders of res rest on; a square whose g stops short of
+    # the target window must be refused by the collapse
+    za = interval_row(AMB1, 0, 1, 1, (0, 1))
+    zb = interval_row(AMB2, 0, 2, 2, (0, 1, 2))
+    g = LinMap(AMB1, AMB2, (0, 1))
+    gbar = LinMap(standard_order(2), standard_order(1), (0, 1, 1))
+    with pytest.raises(ValueError, match="not an interval-context morphism"):
+        OmegaMorDelta(za, zb, g, gbar)
+    mu = trusted(OmegaMorDelta, src=za, dst=zb, g=g, gbar=gbar)
+    with pytest.raises(ValueError, match="not an interval-context morphism"):
+        localize_morphism(mu)
+
+
+def test_dual_disagreeing_at_one_start_raises(monkeypatch):
+    # a dual whose fibers at one linearization start differ from those at
+    # the canonical start must stop the collapse, naming both duals
+    za = diamond_row(("a0", "a1", "a2"))
+    zb = diamond_row(("b0", "b1", "b2"))
+    gbar = AssMor(za.carrier, zb.carrier, (("b0", ("a0",)), ("b1", ("a1",)), ("b2", ("a2",))))
+    mu = OmegaMorLambda(za, zb, ID_DIAMOND, gbar)
+    honest = localize_morphism(mu)
+    real = dualities.dual_fibers
+
+    def skewed(f, start):
+        fibers = real(f, start)
+        if start != f.dst.cycle[1]:
+            return fibers
+        # shifting each fiber to the next key still reads a valid map
+        return tuple((s, fib) for (s, _), (_, fib) in zip(fibers, fibers[1:] + fibers[:1]))
+
+    monkeypatch.setattr(dualities, "dual_fibers", skewed)
+    monkeypatch.setattr(localize, "dual_fibers", skewed)
+    with pytest.raises(ValueError, match="cyclic linearization choices disagree at round-round") as err:
+        localize_morphism(mu)
+    first, other = str(err.value).split(": ", 1)[1].split(" vs ")
+    assert first != other
+    monkeypatch.undo()
+    assert localize_morphism(mu) == honest

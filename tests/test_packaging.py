@@ -267,6 +267,14 @@ def test_benchmark_tracer_finds_every_target(monkeypatch):
     spec.loader.exec_module(tracer)
     with tracer.Tracer():
         pass
+    # a traced run fails when a target of its workload records no call, so
+    # every localize-sweep target (res and D_on_map among them) must stay
+    # on the sweep's path at its smallest benchmark budget
+    from segalspans.localize import LocalizeBudget, verify_localization
+
+    with tracer.Tracer() as traced:
+        verify_localization(LocalizeBudget(1, 1, 1, 0))
+    assert traced.unreached("localize-sweep") == []
 
 
 # constructor validators: they raise ValueError instead of reporting
